@@ -10,7 +10,6 @@ from .decoder import (
     choose_n_best,
     choose_n_best_expansions,
     choose_nth_score,
-    decode_segment,
     decode_utterance_standard,
     decode_utterance_tokenwise,
     expand_blank,

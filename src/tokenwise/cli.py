@@ -110,6 +110,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     model = load_model(read_model_spec(args.model))
     utterances = load_corpus(args.corpus, model.vocab)
+    if not utterances:
+        raise CorpusFormatError(f"corpus {args.corpus} is empty")
     config = DecodeConfig(
         beam_size=args.beam_size,
         segment_size=args.segment_size,
@@ -141,13 +143,16 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     else:
         for line in lines:
             print(line)
-    stats = efficiency_stats(counters, elapsed)
-    summary = (
-        f"decoded {len(utterances)} utterances:"
-        f" calls/frame {stats.calls_per_frame:.3f},"
-        f" joins/frame {stats.joins_per_frame:.3f},"
-        f" frames/sec {stats.frames_per_second:.0f}"
-    )
+    summary = f"decoded {len(utterances)} utterances:"
+    if counters.frames_decoded:
+        stats = efficiency_stats(counters, elapsed)
+        summary += (
+            f" calls/frame {stats.calls_per_frame:.3f},"
+            f" joins/frame {stats.joins_per_frame:.3f},"
+            f" frames/sec {stats.frames_per_second:.0f}"
+        )
+    else:
+        summary += " 0 frames"
     if any(reference for reference, _ in pairs):
         summary += f", wer {corpus_wer(pairs):.4f}"
     print(summary, file=sys.stderr)

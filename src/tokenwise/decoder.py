@@ -12,9 +12,12 @@ Two interchangeable strategies over the same model interface:
   frames, so path merging is exact while the joiner is invoked far less
   often per frame.
 
-Both strategies share the selection utilities below (merging, ranking,
-pruning), so with a segment size of one they make identical decisions and
-produce identical beams.
+Both strategies apply the same selection rules (merging, ranking, pruning,
+tie-breaking), so with a segment size of one they make identical decisions
+and produce identical beams. They are implemented independently: the
+standard decoder over :class:`Hypothesis` objects and the selection
+utilities below, the token-wise decoder over arrays, so each can check the
+other.
 
 Scores are natural-log probabilities throughout. A hypothesis score is the
 sum of the probabilities of every alignment of its token sequence that the
@@ -24,13 +27,13 @@ search has explored, never a Viterbi maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_array
-from .model import EncoderOutput, JoinerCounters, TransducerModel
+from .model import EncoderOutput, JoinerCounters, PredictorState, TransducerModel
 from .types import Beam, Hypothesis, SegmentLattice
 
 UNBOUNDED_BEAM = 1_000_000_000
@@ -251,7 +254,6 @@ def _merge_pair(a: Hypothesis, b: Hypothesis) -> Hypothesis:
         score=log_add(a.score, b.score),
         predictor_state=a.predictor_state,
         emission_mass=mass,
-        done_in_segment=a.done_in_segment,
     )
 
 
@@ -272,8 +274,12 @@ def add_and_merge(beam: Beam, hyp: Hypothesis) -> Beam:
     return Beam(tuple(entries.values()), beam.capacity)
 
 
+def _rank_key(tokens: tuple[int, ...], score: float):
+    return (-score, len(tokens), tokens)
+
+
 def _hypothesis_rank(hyp: Hypothesis):
-    return (-hyp.score, len(hyp.tokens), hyp.tokens)
+    return _rank_key(hyp.tokens, hyp.score)
 
 
 def choose_n_best(hypotheses: Sequence[Hypothesis], n: int) -> list[Hypothesis]:
@@ -287,14 +293,18 @@ def choose_n_best(hypotheses: Sequence[Hypothesis], n: int) -> list[Hypothesis]:
     return sorted(hypotheses, key=_hypothesis_rank)[:n]
 
 
+def _nth_largest(values: Sequence[float], n: int) -> float:
+    """The ``n``-th largest of ``values``, or ``LOG_ZERO`` if fewer exist."""
+    if len(values) < n:
+        return LOG_ZERO
+    return sorted(values, reverse=True)[n - 1]
+
+
 def choose_nth_score(hypotheses: Iterable[Hypothesis], n: int) -> float:
     """Score of the ``n``-th best hypothesis, or ``LOG_ZERO`` if fewer exist."""
     if n < 1:
         raise ValueError("n must be positive")
-    scores = sorted((hyp.score for hyp in hypotheses), reverse=True)
-    if len(scores) < n:
-        return LOG_ZERO
-    return scores[n - 1]
+    return _nth_largest([hyp.score for hyp in hypotheses], n)
 
 
 def choose_n_best_expansions(
@@ -311,99 +321,75 @@ def choose_n_best_expansions(
     return [pair for pair, _ in ranked[:n]]
 
 
-def _enter_segment(hyp: Hypothesis, width: int) -> Hypothesis:
-    """Concentrate all incoming mass on the first frame of a new segment."""
-    mass = np.full(width, LOG_ZERO)
-    mass[0] = hyp.score
-    return Hypothesis(hyp.tokens, hyp.score, hyp.predictor_state, emission_mass=mass)
-
-
-def decode_segment(
+def _search_segment(
     model: TransducerModel,
     encoder: EncoderOutput,
-    beam_in: Beam,
-    frame_range: tuple[int, int],
+    beam: Sequence[tuple[tuple[int, ...], float, PredictorState]],
+    t_begin: int,
+    t_end: int,
     config: DecodeConfig,
     counters: JoinerCounters,
     trace: Optional[DecodeTrace] = None,
-) -> Beam:
-    """Advance a beam across one segment of frames.
+) -> list[tuple[tuple[int, ...], float, PredictorState]]:
+    """Advance a ranked beam of ``(tokens, score, state)`` across one segment.
 
-    Hypotheses split into an expandable group (still eligible to emit
-    tokens inside the segment, carrying emission mass) and a finished group
-    (already scored through the end of the segment). Every emission round
-    makes exactly one batched joiner call for the expandable group, moves
-    each member's blank-finalized form into the finished group, prunes
-    non-blank expansions against the finished scores, and keeps the best
-    ``beam_size`` expansions as the next expandable group.
+    Inside the segment the expandable group is held as arrays: scores (B,)
+    and emission mass (B, frames), where entry ``t`` is the log-mass of the
+    paths whose most recent token was emitted at segment frame ``t``. Every
+    emission round makes exactly one batched joiner call for the group,
+    merges each member's blank-finalized score into ``finished``, prunes
+    non-blank expansions against the ``beam_size``-th finished score, and
+    keeps the best ``beam_size`` expansions as the next group. Ties go to
+    the lower (member, token) index, so the incoming beam's rank order
+    decides them.
 
-    The round cap bounds joiner rounds per segment. When it is reached the
-    surviving expandable hypotheses contribute only their blank-finalized
-    forms (already merged this round) and ``counters.forced_finalizations``
-    grows by their number; nothing is dropped silently.
+    The round cap, scaled by the segment's own width, bounds joiner rounds.
+    When it is reached the surviving group contributes only its
+    blank-finalized scores (already merged this round) and
+    ``counters.forced_finalizations`` grows by its size; nothing is dropped
+    silently. Returns the top ``beam_size`` finished entries in rank order.
     """
-    t_begin, t_end = int(frame_range[0]), int(frame_range[1])
     if not (0 <= t_begin < t_end <= encoder.frames):
         raise ValueError(f"segment [{t_begin}, {t_end}) outside utterance")
-    width = t_end - t_begin
-    for hyp in beam_in:
-        if hyp.emission_mass is not None:
-            raise ValueError("incoming beam must not carry live emission mass")
-
-    cap = config.rounds_cap()
+    cap = config.rounds_cap(t_end - t_begin)
     vocab_size = model.vocab.size
-    active = [_enter_segment(hyp, width) for hyp in beam_in]
-    finished: dict[tuple[int, ...], Hypothesis] = {}
+    tokens = [entry[0] for entry in beam]
+    states = [entry[2] for entry in beam]
+    scores = np.array([entry[1] for entry in beam])
+    mass = np.full((len(beam), t_end - t_begin), LOG_ZERO)
+    mass[:, 0] = scores
+    finished: dict[tuple[int, ...], tuple[float, PredictorState]] = {}
     rounds = 0
-    while active:
+    while True:
         rounds += 1
-        lattices = model.join(
-            encoder, (t_begin, t_end), [h.predictor_state for h in active], counters
-        )
-        grids = np.stack([lat.scores for lat in lattices])
-        mass = np.stack([h.emission_mass for h in active])
-        token_mass, token_scores, blank_scores = _batch_expansions(mass, grids)
+        grid = model.join(encoder, (t_begin, t_end), states, counters)
+        token_mass, token_scores, blank_scores = _batch_expansions(mass, grid)
         if trace is not None:
-            trace.record(
-                np.array([h.score for h in active]), token_scores, blank_scores
+            trace.record(scores, token_scores, blank_scores)
+        for seq, closed, state in zip(tokens, blank_scores.tolist(), states):
+            earlier = finished.get(seq)
+            finished[seq] = (
+                (closed, state) if earlier is None else (log_add(earlier[0], closed), earlier[1])
             )
-        for hyp, closed_score in zip(active, blank_scores):
-            _merge_entry(
-                finished,
-                Hypothesis(
-                    hyp.tokens,
-                    float(closed_score),
-                    hyp.predictor_state,
-                    done_in_segment=True,
-                ),
-            )
-        threshold = choose_nth_score(finished.values(), config.beam_size)
+        threshold = _nth_largest([score for score, _ in finished.values()], config.beam_size)
         flat = token_scores.ravel()
         alive = np.flatnonzero(flat > threshold)
         if alive.size == 0:
             break
         if rounds >= cap:
-            counters.forced_finalizations += len(active)
+            counters.forced_finalizations += len(tokens)
             break
-        order = alive[np.argsort(-flat[alive], kind="stable")]
-        next_active: dict[tuple[int, ...], Hypothesis] = {}
-        for flat_index in order[: config.beam_size]:
-            parent_index, token = divmod(int(flat_index), vocab_size)
-            parent = active[parent_index]
-            child = Hypothesis(
-                parent.tokens + (token,),
-                float(flat[flat_index]),
-                model.advance_predictor(parent.predictor_state, token),
-                emission_mass=token_mass[parent_index, :, token].copy(),
-            )
-            _merge_entry(next_active, child)
-        active = list(next_active.values())
-
-    top = choose_n_best(list(finished.values()), config.beam_size)
-    cleaned = tuple(
-        Hypothesis(h.tokens, h.score, h.predictor_state) for h in top
-    )
-    return Beam(cleaned, config.beam_size)
+        chosen = alive[np.argsort(-flat[alive], kind="stable")][: config.beam_size]
+        parents, emitted = np.divmod(chosen, vocab_size)
+        mass = token_mass[parents, :, emitted]
+        scores = flat[chosen]
+        # Group members carry distinct sequences, so their children do too:
+        # nothing inside one round needs merging.
+        pairs = list(zip(parents.tolist(), emitted.tolist()))
+        states = [model.advance_predictor(states[p], k) for p, k in pairs]
+        tokens = [tokens[p] + (k,) for p, k in pairs]
+    ranked = sorted(finished.items(), key=lambda item: _rank_key(item[0], item[1][0]))
+    return [(seq, score, state) for seq, (score, state) in ranked[: config.beam_size]]
 
 
 def decode_utterance_tokenwise(
@@ -421,15 +407,12 @@ def decode_utterance_tokenwise(
     """
     counters = JoinerCounters() if counters is None else counters
     counters.frames_decoded += encoder.frames
-    beam = Beam(
-        (Hypothesis((), LOG_ONE, model.init_predictor()),), config.beam_size
-    )
-    start = 0
-    while start < encoder.frames:
-        stop = min(start + config.segment_size, encoder.frames)
-        beam = decode_segment(model, encoder, beam, (start, stop), config, counters, trace)
-        start = stop
-    return NBestList.from_hypotheses(beam.hypotheses, config.nbest), counters
+    beam = [((), LOG_ONE, model.init_predictor())]
+    for t_begin in range(0, encoder.frames, config.segment_size):
+        t_end = min(t_begin + config.segment_size, encoder.frames)
+        beam = _search_segment(model, encoder, beam, t_begin, t_end, config, counters, trace)
+    entries = tuple((seq, score) for seq, score, _ in beam[: config.nbest])
+    return NBestList(entries), counters
 
 
 def decode_utterance_standard(
@@ -456,10 +439,9 @@ def decode_utterance_standard(
         rounds = 0
         while active:
             rounds += 1
-            lattices = model.join(
+            rows = model.join(
                 encoder, (t, t + 1), [h.predictor_state for h in active], counters
-            )
-            rows = np.stack([lat.scores[0] for lat in lattices])
+            )[:, 0, :]
             scores = np.array([h.score for h in active])
             token_scores = scores[:, None] + rows[:, :vocab_size]
             blank_scores = scores + rows[:, vocab_size]
@@ -468,12 +450,7 @@ def decode_utterance_standard(
             for hyp, closed_score in zip(active, blank_scores):
                 _merge_entry(
                     finished,
-                    Hypothesis(
-                        hyp.tokens,
-                        float(closed_score),
-                        hyp.predictor_state,
-                        done_in_segment=True,
-                    ),
+                    Hypothesis(hyp.tokens, float(closed_score), hyp.predictor_state),
                 )
             threshold = choose_nth_score(finished.values(), config.beam_size)
             flat = token_scores.ravel()

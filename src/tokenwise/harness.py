@@ -12,6 +12,7 @@ runs are byte-identical once timing is stripped.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import statistics
 import time
@@ -248,15 +249,13 @@ def _relative_delta(value: float, baseline: float):
 _POOL_STATE: dict = {}
 
 
-def _pool_init(spec: ModelSpec, config: DecodeConfig) -> None:
+def _pool_init(spec: ModelSpec) -> None:
     _POOL_STATE["model"] = load_model(spec)
-    _POOL_STATE["config"] = config
 
 
-def _pool_decode(task: tuple[str, int]):
-    uid, frames = task
+def _pool_decode(task: tuple[DecodeConfig, str, int]):
+    config, uid, frames = task
     model = _POOL_STATE["model"]
-    config = _POOL_STATE["config"]
     encoder = model.encode(frames, uid)
     result, counters = decode_utterance_tokenwise(model, encoder, config)
     return (
@@ -270,32 +269,29 @@ def _pool_decode(task: tuple[str, int]):
 
 def _decode_corpus(
     model: TransducerModel,
-    spec: ModelSpec,
     utterances: Sequence[Utterance],
     config: DecodeConfig,
-    workers: int,
+    pool: Optional[ProcessPoolExecutor] = None,
+    chunksize: int = 1,
 ) -> tuple[list[NBestList], JoinerCounters]:
+    """Decode every utterance, in this process or, given a pool, in its workers."""
     counters = JoinerCounters()
     results: list[NBestList] = []
-    if workers <= 1:
+    if pool is None:
         for utt in utterances:
             encoder = model.encode(utt.frames, utt.uid)
             result, _ = decode_utterance_tokenwise(model, encoder, config, counters)
             results.append(result)
         return results, counters
-    tasks = [(utt.uid, utt.frames) for utt in utterances]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(spec, config)
-    ) as pool:
-        for entries, calls, frame_joins, frames_decoded, forced in pool.map(
-            _pool_decode, tasks, chunksize=chunk
-        ):
-            results.append(NBestList(entries))
-            counters.calls += calls
-            counters.frame_joins += frame_joins
-            counters.frames_decoded += frames_decoded
-            counters.forced_finalizations += forced
+    tasks = [(config, utt.uid, utt.frames) for utt in utterances]
+    for entries, calls, frame_joins, frames_decoded, forced in pool.map(
+        _pool_decode, tasks, chunksize=chunksize
+    ):
+        results.append(NBestList(entries))
+        counters.calls += calls
+        counters.frame_joins += frame_joins
+        counters.frames_decoded += frames_decoded
+        counters.forced_finalizations += forced
     return results, counters
 
 
@@ -333,43 +329,54 @@ def run_benchmark(
         raise CorpusFormatError(f"corpus {corpus_path} is empty")
 
     cells: dict[str, BenchmarkCell] = {}
-    for beam in beams:
-        for segment in segments:
-            config = DecodeConfig(
-                beam_size=beam,
-                segment_size=segment,
-                nbest=min(nbest, beam),
-                max_rounds_per_segment=max_rounds,
-            )
-            times = []
-            results: Optional[list[NBestList]] = None
-            counters: Optional[JoinerCounters] = None
-            for _ in range(repeats):
-                started = time.perf_counter()
-                pass_results, pass_counters = _decode_corpus(
-                    model, spec, utterances, config, workers
+    # One pool serves every cell and repeat; its workers are started before
+    # the first timed pass, so start-up is never billed as decode time.
+    chunksize = max(1, len(utterances) // (workers * 4))
+    pool_context = (
+        ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(spec,))
+        if workers > 1
+        else contextlib.nullcontext()
+    )
+    with pool_context as pool:
+        if pool is not None:
+            pool.submit(int).result()
+        for beam in beams:
+            for segment in segments:
+                config = DecodeConfig(
+                    beam_size=beam,
+                    segment_size=segment,
+                    nbest=min(nbest, beam),
+                    max_rounds_per_segment=max_rounds,
                 )
-                times.append(time.perf_counter() - started)
-                if results is None:
-                    results, counters = pass_results, pass_counters
-            wall = statistics.median(times)
-            stats = efficiency_stats(counters, wall)
-            pairs = list(zip((u.reference for u in utterances), results))
-            cells[BenchmarkReport.cell_key(beam, segment)] = BenchmarkCell(
-                beam_size=beam,
-                segment_size=segment,
-                nbest=config.nbest,
-                wer=corpus_wer([(ref, res.top) for ref, res in pairs]),
-                oracle_wer=corpus_oracle_wer(pairs),
-                calls=counters.calls,
-                frame_joins=counters.frame_joins,
-                frames_decoded=counters.frames_decoded,
-                forced_finalizations=counters.forced_finalizations,
-                calls_per_frame=stats.calls_per_frame,
-                joins_per_frame=stats.joins_per_frame,
-                wall_time_sec=stats.wall_time_sec,
-                frames_per_second=stats.frames_per_second,
-            )
+                times = []
+                results: Optional[list[NBestList]] = None
+                counters: Optional[JoinerCounters] = None
+                for _ in range(repeats):
+                    started = time.perf_counter()
+                    pass_results, pass_counters = _decode_corpus(
+                        model, utterances, config, pool, chunksize
+                    )
+                    times.append(time.perf_counter() - started)
+                    if results is None:
+                        results, counters = pass_results, pass_counters
+                wall = statistics.median(times)
+                stats = efficiency_stats(counters, wall)
+                pairs = list(zip((u.reference for u in utterances), results))
+                cells[BenchmarkReport.cell_key(beam, segment)] = BenchmarkCell(
+                    beam_size=beam,
+                    segment_size=segment,
+                    nbest=config.nbest,
+                    wer=corpus_wer([(ref, res.top) for ref, res in pairs]),
+                    oracle_wer=corpus_oracle_wer(pairs),
+                    calls=counters.calls,
+                    frame_joins=counters.frame_joins,
+                    frames_decoded=counters.frames_decoded,
+                    forced_finalizations=counters.forced_finalizations,
+                    calls_per_frame=stats.calls_per_frame,
+                    joins_per_frame=stats.joins_per_frame,
+                    wall_time_sec=stats.wall_time_sec,
+                    frames_per_second=stats.frames_per_second,
+                )
 
     cell_dicts: dict[str, dict] = {}
     for beam in beams:

@@ -21,12 +21,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .logmath import LOG_ONE, LOG_ZERO, log_normalize
-from .types import SegmentLattice, Vocabulary
+from .types import Vocabulary
 
 
 class ModelFormatError(ValueError):
@@ -79,14 +79,14 @@ def _string_key(text: str) -> int:
 class EncoderOutput:
     """Precomputed encoder frames for one utterance.
 
-    ``payload`` carries model-specific per-frame precomputation and takes
-    no part in equality.
+    ``payload`` carries model-specific per-utterance precomputation and
+    takes no part in equality.
     """
 
     frames: int
     handle: int = 0
     uid: str = ""
-    payload: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    payload: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.frames < 0:
@@ -222,11 +222,13 @@ class TransducerModel(ABC):
         frame_range: tuple[int, int],
         states: Sequence[PredictorState],
         counters: JoinerCounters,
-    ) -> list[SegmentLattice]:
+    ) -> np.ndarray:
         """One batched joiner invocation over ``frame_range`` for all states.
 
-        Counts as a single call no matter how many states are batched; the
-        per-frame cost driver is tracked separately in ``frame_joins``.
+        Returns the (states, frames, symbols) grid of log-probabilities,
+        blank in the last column, as a C-contiguous float64 array. Counts as
+        a single call no matter how many states are batched; the per-frame
+        cost driver is tracked separately in ``frame_joins``.
         """
         t_begin, t_end = int(frame_range[0]), int(frame_range[1])
         states = list(states)
@@ -236,11 +238,14 @@ class TransducerModel(ABC):
             raise ValueError(
                 f"frame range [{t_begin}, {t_end}) outside encoder length {encoder.frames}"
             )
-        grid = self._segment_scores(encoder, t_begin, t_end, states)
+        grid = np.ascontiguousarray(
+            self._segment_scores(encoder, t_begin, t_end, states), dtype=np.float64
+        )
+        expected = (len(states), t_end - t_begin, self.vocab.num_symbols)
+        if grid.shape != expected:
+            raise ValueError(f"joiner returned a grid of shape {grid.shape}, expected {expected}")
         counters.record_call(t_end - t_begin)
-        return [
-            SegmentLattice(grid[i], hypothesis_id=i) for i in range(len(states))
-        ]
+        return grid
 
     def _check_token(self, token: int) -> int:
         token = int(token)
@@ -250,6 +255,36 @@ class TransducerModel(ABC):
                 " (blank cannot be consumed by the predictor)"
             )
         return token
+
+
+def _index_hashes(count: int) -> tuple[np.ndarray, ...]:
+    """Utterance-independent hashes of the indices ``0..count-1``.
+
+    Index ``i`` is frame ``i`` and depth ``i`` at once. Returns the ids, the
+    inner spike and slot hashes, and the depth keys of the seeded joiner.
+    """
+    ids = np.arange(count, dtype=np.uint64)
+    return (
+        ids,
+        _mix64_array(ids + np.uint64(_SPIKE_SALT)),
+        _mix64_array(ids + np.uint64(_SLOT_SALT)),
+        _mix64_array(ids + np.uint64(_DEPTH_SALT)),
+    )
+
+
+class SeededTables(NamedTuple):
+    """What :meth:`SeededModel.encode` precomputes for one utterance.
+
+    ``demanded[t]`` is how many tokens the script demands by frame ``t``,
+    ``frame_keys[t]`` the frame's hash key, and ``depth_keys[u]`` and
+    ``preferred[u]`` the gate key and the preferred token of a state that
+    has emitted ``u`` tokens, for ``u`` below ``len(preferred)``.
+    """
+
+    demanded: np.ndarray
+    frame_keys: np.ndarray
+    depth_keys: np.ndarray
+    preferred: np.ndarray
 
 
 class SeededModel(TransducerModel):
@@ -283,6 +318,9 @@ class SeededModel(TransducerModel):
             raise ModelFormatError("blank_prior must lie strictly between 0 and 1")
         self._seed_key = _mix64(self.seed & _MASK64)
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
+        self._lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
+        self._token_ids = np.arange(vocab_size)
+        self._indices = _index_hashes(self.frames)
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)
@@ -290,10 +328,31 @@ class SeededModel(TransducerModel):
             raise ValueError("frame count cannot be negative")
         handle = _mix64(self._seed_key ^ _string_key(uid))
         return EncoderOutput(
-            frames=frames,
-            handle=handle,
-            uid=uid,
-            payload=self._script_positions(handle, frames),
+            frames=frames, handle=handle, uid=uid, payload=self._tables(handle, frames)
+        )
+
+    def _tables(self, handle: int, frames: int) -> SeededTables:
+        """Every joiner term that depends on the frame alone or the depth alone.
+
+        These stand in for a network's encoder and predictor projections.
+        The depth table covers depths ``0..frames-1``; deeper states, and an
+        encoder output without tables, are hashed from scratch by
+        :meth:`_script_positions` and :meth:`_depth_terms` at join time.
+        """
+        if len(self._indices[0]) < frames:
+            self._indices = _index_hashes(frames)
+        ids, spike_pre, slot_pre, depth_keys = (hashes[:frames] for hashes in self._indices)
+        key = np.uint64(handle)
+        spike_unit = (_mix64_array(key ^ spike_pre) >> np.uint64(11)).astype(np.float64) * (
+            2.0 ** -53
+        )
+        return SeededTables(
+            demanded=np.cumsum(spike_unit < (1.0 - self.blank_prior)).astype(np.int64),
+            frame_keys=_mix64_array(key ^ (ids + np.uint64(_FRAME_SALT))),
+            depth_keys=depth_keys,
+            preferred=(_mix64_array(key ^ slot_pre) % np.uint64(self.vocab.size)).astype(
+                np.int64
+            ),
         )
 
     def _script_positions(self, handle: int, frames: int) -> np.ndarray:
@@ -305,6 +364,15 @@ class SeededModel(TransducerModel):
         ).astype(np.float64) * (2.0 ** -53)
         return np.cumsum(spike_unit < (1.0 - self.blank_prior)).astype(np.int64)
 
+    def _depth_terms(self, handle: int, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per depth, hashed from scratch: the gate's depth key and the preferred token."""
+        depths = depths.astype(np.uint64)
+        depth_keys = _mix64_array(depths + np.uint64(_DEPTH_SALT))
+        slot_keys = _mix64_array(
+            np.uint64(handle) ^ _mix64_array(depths + np.uint64(_SLOT_SALT))
+        )
+        return depth_keys, (slot_keys % np.uint64(self.vocab.size)).astype(np.int64)
+
     def init_predictor(self) -> PredictorState:
         return PredictorState(key=_mix64(self._seed_key ^ _INIT_SALT), depth=0)
 
@@ -314,18 +382,23 @@ class SeededModel(TransducerModel):
         return PredictorState(key=key, depth=state.depth + 1)
 
     def _segment_scores(self, encoder, t_begin, t_end, states):
-        vocab_size = self.vocab.size
-        frame_ids = np.arange(t_begin, t_end, dtype=np.uint64)
-        frame_keys = _mix64_array(
-            np.uint64(encoder.handle) ^ (frame_ids + np.uint64(_FRAME_SALT))
-        )
-        script = encoder.payload
-        if script is None:
-            script = self._script_positions(encoder.handle, encoder.frames)
-        demanded = script[t_begin:t_end]
-
+        tables = encoder.payload
         depths = np.array([s.depth for s in states], dtype=np.int64)
-        depth_keys = _mix64_array(depths.astype(np.uint64) + np.uint64(_DEPTH_SALT))
+        if tables is None:
+            frame_ids = np.arange(t_begin, t_end, dtype=np.uint64)
+            frame_keys = _mix64_array(
+                np.uint64(encoder.handle) ^ (frame_ids + np.uint64(_FRAME_SALT))
+            )
+            demanded = self._script_positions(encoder.handle, encoder.frames)[t_begin:t_end]
+        else:
+            frame_keys = tables.frame_keys[t_begin:t_end]
+            demanded = tables.demanded[t_begin:t_end]
+        if tables is not None and depths.max() < len(tables.preferred):
+            depth_keys = tables.depth_keys[depths]
+            preferred = tables.preferred[depths]
+        else:
+            depth_keys, preferred = self._depth_terms(encoder.handle, depths)
+
         acoustic = _mix64_array(depth_keys[:, None] ^ frame_keys[None, :])
         gate_unit = (
             (_mix64_array(acoustic ^ np.uint64(_GATE_SALT)) >> np.uint64(11)).astype(np.float64)
@@ -340,24 +413,18 @@ class SeededModel(TransducerModel):
         log_blank = -np.logaddexp(0.0, -gate)
         log_nonblank = -np.logaddexp(0.0, gate)
 
-        slot_keys = _mix64_array(
-            np.uint64(encoder.handle)
-            ^ _mix64_array(depths.astype(np.uint64) + np.uint64(_SLOT_SALT))
-        )
-        preferred = (slot_keys % np.uint64(vocab_size)).astype(np.int64)
-
         state_keys = np.array([s.key for s in states], dtype=np.uint64)
         context = _mix64_array(state_keys[:, None] ^ frame_keys[None, :])
-        lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
         jitter_unit = (
-            (_mix64_array(context[:, :, None] ^ lanes[None, None, :]) >> np.uint64(11)).astype(
-                np.float64
-            )
+            (
+                _mix64_array(context[:, :, None] ^ self._lanes[None, None, :])
+                >> np.uint64(11)
+            ).astype(np.float64)
             * (2.0 ** -53)
         )
         token_logits = _TOKEN_JITTER * jitter_unit
         token_logits += _PREFERRED_BOOST * (
-            np.arange(vocab_size)[None, None, :] == preferred[:, None, None]
+            self._token_ids[None, None, :] == preferred[:, None, None]
         )
         log_tokens = log_normalize(token_logits, axis=-1) + log_nonblank[:, :, None]
         return np.concatenate([log_tokens, log_blank[:, :, None]], axis=2)

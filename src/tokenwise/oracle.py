@@ -83,13 +83,12 @@ class _RowCache:
     def rows(self, prefix: tuple[int, ...]) -> np.ndarray:
         got = self._rows.get(prefix)
         if got is None:
-            lattice = self._model.join(
+            got = self._model.join(
                 self._encoder,
                 (0, self._encoder.frames),
                 [self.state(prefix)],
                 self._scratch,
             )[0]
-            got = lattice.scores
             self._rows[prefix] = got
         return got
 

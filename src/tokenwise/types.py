@@ -39,15 +39,16 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class SegmentLattice:
-    """Normalized joiner output for one hypothesis over one frame range.
+    """One hypothesis's row block ``grid[i]`` of a joiner grid, validated.
 
-    ``scores[t, k]`` is the log-probability of symbol ``k`` at the ``t``-th
-    frame of the range (blank in the last column). Rows are expected to
-    log-sum to zero; use :meth:`normalization_defect` to audit that.
+    The per-hypothesis expansion helpers in :mod:`tokenwise.decoder` take
+    this form. ``scores[t, k]`` is the log-probability of symbol ``k`` at
+    the ``t``-th frame of the range (blank in the last column). Rows are
+    expected to log-sum to zero; use :meth:`normalization_defect` to audit
+    that.
     """
 
     scores: np.ndarray
-    hypothesis_id: int = 0
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -79,19 +80,19 @@ class SegmentLattice:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """One beam entry.
+    """One beam entry of the frame-synchronous decoder and the oracle.
 
-    ``emission_mass`` is only present while the hypothesis sits in the
-    expandable group of a segment decode: entry ``t`` holds the log-mass of
-    the paths whose most recent token was emitted at segment frame ``t``.
-    Its log-sum equals ``score`` there. Finished entries carry ``None``.
+    ``emission_mass``, when present, holds per segment frame ``t`` the
+    log-mass of the paths whose most recent token was emitted at frame
+    ``t``; its log-sum equals ``score``. The per-hypothesis expansion
+    helpers in :mod:`tokenwise.decoder` read it; finished entries carry
+    ``None``.
     """
 
     tokens: tuple[int, ...]
     score: float
     predictor_state: Any = None
     emission_mass: Optional[np.ndarray] = None
-    done_in_segment: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.tokens, tuple):

@@ -142,6 +142,48 @@ def test_missing_model_exits_two(tmp_path: Path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_decode_zero_frame_corpus_exits_zero(tmp_path: Path, capsys) -> None:
+    corpus = tmp_path / "silent.jsonl"
+    corpus.write_text(
+        '{"id": "a", "frames": 0, "reference": []}\n'
+        '{"id": "b", "frames": 0, "reference": [1]}\n',
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "hyps.jsonl"
+    code = main(
+        [
+            "decode",
+            "--model", str(DATA_DIR / "tiny_model.json"),
+            "--corpus", str(corpus),
+            "--out", str(out_path),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert [r["id"] for r in records] == ["a", "b"]
+    assert all(r["hypotheses"] == [{"tokens": [], "score": 0.0}] for r in records)
+    err = capsys.readouterr().err
+    assert "decoded 2 utterances: 0 frames" in err
+    assert "error" not in err
+
+
+def test_decode_empty_corpus_exits_two_before_output(tmp_path: Path, capsys) -> None:
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("", encoding="utf-8")
+    out_path = tmp_path / "hyps.jsonl"
+    code = main(
+        [
+            "decode",
+            "--model", str(DATA_DIR / "tiny_model.json"),
+            "--corpus", str(corpus),
+            "--out", str(out_path),
+        ]
+    )
+    assert code == 2
+    assert f"error: corpus {corpus} is empty" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_bad_generate_range_exits_two(tmp_path: Path, capsys) -> None:
     code = main(
         [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tokenwise.decoder import (
+    DEFAULT_ROUNDS_PER_FRAME,
     DecodeConfig,
     DecodeTrace,
     NBestList,
@@ -17,15 +18,15 @@ from tokenwise.decoder import (
     choose_n_best,
     choose_n_best_expansions,
     choose_nth_score,
-    decode_segment,
     decode_utterance_standard,
     decode_utterance_tokenwise,
     expand_blank,
     expand_nonblank,
     mass_conservation_check,
+    _search_segment,
 )
 from tokenwise.logmath import LOG_ZERO, log_sum
-from tokenwise.model import JoinerCounters, SeededModel
+from tokenwise.model import JoinerCounters, SeededModel, TabularModel
 from tokenwise.types import Beam, Hypothesis, SegmentLattice
 
 
@@ -286,31 +287,52 @@ def test_trace_accumulates_counts() -> None:
     assert trace.mass_checks == 3
 
 
-def test_decode_segment_rejects_live_mass_and_bad_ranges() -> None:
+def test_search_segment_rejects_ranges_outside_the_utterance() -> None:
     model = SeededModel(vocab_size=3, frames=5, seed=44)
     encoder = model.encode(uid="seg")
     config = DecodeConfig(beam_size=2, segment_size=2)
-    carrying = Beam(
-        (Hypothesis((), 0.0, model.init_predictor(), emission_mass=np.array([0.0])),), 2
-    )
-    with pytest.raises(ValueError):
-        decode_segment(model, encoder, carrying, (0, 2), config, JoinerCounters())
-    clean = Beam((Hypothesis((), 0.0, model.init_predictor()),), 2)
-    with pytest.raises(ValueError):
-        decode_segment(model, encoder, clean, (3, 3), config, JoinerCounters())
-    with pytest.raises(ValueError):
-        decode_segment(model, encoder, clean, (4, 6), config, JoinerCounters())
+    beam = [((), 0.0, model.init_predictor())]
+    for t_begin, t_end in ((3, 3), (4, 6), (-1, 1)):
+        counters = JoinerCounters()
+        with pytest.raises(ValueError):
+            _search_segment(model, encoder, beam, t_begin, t_end, config, counters)
+        assert counters.calls == 0
 
 
-def test_decode_segment_strips_mass_from_result() -> None:
+def test_search_segment_returns_a_ranked_plain_beam() -> None:
     model = SeededModel(vocab_size=3, frames=5, seed=45)
     encoder = model.encode(uid="strip")
-    clean = Beam((Hypothesis((), 0.0, model.init_predictor()),), 2)
-    out = decode_segment(
-        model, encoder, clean, (0, 3), DecodeConfig(beam_size=2, segment_size=3), JoinerCounters()
+    root = model.init_predictor()
+    out = _search_segment(
+        model,
+        encoder,
+        [((), 0.0, root)],
+        0,
+        3,
+        DecodeConfig(beam_size=2, segment_size=3),
+        JoinerCounters(),
     )
-    assert all(h.emission_mass is None for h in out)
-    assert len(out) <= 2
+    assert 1 <= len(out) <= 2
+    assert out == sorted(out, key=lambda entry: (-entry[1], len(entry[0]), entry[0]))
+    for tokens, score, state in out:
+        assert isinstance(score, float) and score <= 0.0
+        expected = root
+        for token in tokens:
+            expected = model.advance_predictor(expected, token)
+        assert state == expected
+
+
+def test_final_short_segment_gets_a_round_cap_for_its_own_width() -> None:
+    # Blank is all but impossible, so every segment runs into its round cap.
+    payload = np.zeros((5, 1, 2))
+    payload[:, :, -1] = -30.0
+    model = TabularModel(vocab_size=1, payload=payload.tolist())
+    counters = JoinerCounters()
+    config = DecodeConfig(beam_size=1, segment_size=4)
+    decode_utterance_tokenwise(model, model.encode(), config, counters)
+    assert counters.forced_finalizations == 2
+    # frames 0..3 get 4 frames' worth of rounds, the final frame 4 one frame's
+    assert counters.calls == 4 * DEFAULT_ROUNDS_PER_FRAME + DEFAULT_ROUNDS_PER_FRAME
 
 
 def test_round_cap_forces_finalization() -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tokenwise import harness
 from tokenwise.decoder import DecodeConfig, decode_utterance_standard
 from tokenwise.harness import (
     BenchmarkReport,
@@ -275,6 +276,24 @@ def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
     serial_clean = BenchmarkReport.strip_timing(serial.to_dict())
     parallel_clean = BenchmarkReport.strip_timing(parallel.to_dict())
     assert serial_clean == parallel_clean
+
+
+def test_run_benchmark_builds_one_pool_per_run(tmp_path: Path, monkeypatch) -> None:
+    built = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    model_path, corpus_path = _tiny_bench_paths(tmp_path)
+    run_benchmark(
+        model_path, corpus_path, beam_sizes=[1, 2], segment_sizes=[1, 2], repeats=2, workers=2
+    )
+    assert built == [2]
+    run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1])
+    assert built == [2]
 
 
 def test_blank_certain_benchmark_has_exact_call_count(tmp_path: Path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tokenwise.logmath import LOG_ZERO
+from tokenwise.logmath import LOG_ZERO, log_sum_array
 from tokenwise.model import (
     EncoderOutput,
     JoinerCounters,
@@ -40,8 +40,9 @@ def _golden_model() -> SeededModel:
 def test_seeded_join_matches_frozen_values() -> None:
     model = _golden_model()
     encoder = model.encode(uid="golden")
-    lattice = model.join(encoder, (0, 4), [model.init_predictor()], JoinerCounters())[0]
-    assert np.abs(lattice.scores - GOLDEN_EMPTY_PREFIX).max() < 1e-15
+    grid = model.join(encoder, (0, 4), [model.init_predictor()], JoinerCounters())
+    assert grid.shape == (1, 4, 4)
+    assert np.abs(grid[0] - GOLDEN_EMPTY_PREFIX).max() < 1e-15
 
 
 def test_seeded_rows_are_normalized() -> None:
@@ -49,8 +50,8 @@ def test_seeded_rows_are_normalized() -> None:
     encoder = model.encode(uid="norm")
     state = model.init_predictor()
     deep = model.advance_predictor(state, 7)
-    for lattice in model.join(encoder, (0, 30), [state, deep], JoinerCounters()):
-        assert lattice.normalization_defect() < 1e-12
+    grid = model.join(encoder, (0, 30), [state, deep], JoinerCounters())
+    assert np.abs(log_sum_array(grid, axis=-1)).max() < 1e-12
 
 
 def test_seeded_model_is_deterministic() -> None:
@@ -64,7 +65,7 @@ def test_seeded_model_is_deterministic() -> None:
     other = other_model.join(
         other_model.encode(uid="x"), (0, 8), [other_model.init_predictor()], JoinerCounters()
     )[0]
-    assert np.array_equal(one.scores, other.scores)
+    assert np.array_equal(one, other)
 
 
 def test_seeded_model_varies_with_seed_and_uid() -> None:
@@ -75,8 +76,8 @@ def test_seeded_model_varies_with_seed_and_uid() -> None:
         other_seed.encode(uid="a"), (0, 6), [other_seed.init_predictor()], JoinerCounters()
     )[0]
     uid_rows = base.join(base.encode(uid="b"), (0, 6), [base.init_predictor()], JoinerCounters())[0]
-    assert np.abs(rows.scores - seed_rows.scores).max() > 0.01
-    assert np.abs(rows.scores - uid_rows.scores).max() > 0.01
+    assert np.abs(rows - seed_rows).max() > 0.01
+    assert np.abs(rows - uid_rows).max() > 0.01
 
 
 def test_seeded_model_is_prefix_order_sensitive() -> None:
@@ -88,7 +89,7 @@ def test_seeded_model_is_prefix_order_sensitive() -> None:
     assert one_two.depth == two_one.depth == 2
     assert one_two.key != two_one.key
     rows = model.join(encoder, (0, 6), [one_two, two_one], JoinerCounters())
-    assert np.abs(rows[0].scores - rows[1].scores).max() > 0.01
+    assert np.abs(rows[0] - rows[1]).max() > 0.01
 
 
 def test_encode_without_payload_scores_identically() -> None:
@@ -99,7 +100,7 @@ def test_encode_without_payload_scores_identically() -> None:
     state = model.init_predictor()
     with_payload = model.join(encoder, (2, 5), [state], JoinerCounters())[0]
     without = model.join(bare, (2, 5), [state], JoinerCounters())[0]
-    assert np.array_equal(with_payload.scores, without.scores)
+    assert np.array_equal(with_payload, without)
 
 
 def test_encode_rejects_negative_frames() -> None:
@@ -135,6 +136,36 @@ def test_join_validates_range_and_states() -> None:
         model.join(encoder, (0, 5), [state], counters)
     with pytest.raises(ValueError):
         model.join(encoder, (0, 2), [], counters)
+    assert counters.calls == 0
+
+
+class _MisshapenModel(TabularModel):
+    """Cuts every grid it returns with a fixed index, to break its shape."""
+
+    def __init__(self, cut) -> None:
+        super().__init__(vocab_size=2, payload=_uniform_payload(3, 2, 3))
+        self.cut = cut
+
+    def _segment_scores(self, encoder, t_begin, t_end, states):
+        return super()._segment_scores(encoder, t_begin, t_end, states)[self.cut]
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        np.s_[:, :-1, :],  # a frame short
+        np.s_[:, :, :-1],  # no blank column
+        np.s_[:1, :, :],  # one state short
+        np.s_[:, 0, :],  # frame axis dropped
+    ],
+)
+def test_join_rejects_a_grid_of_the_wrong_shape(cut) -> None:
+    model = _MisshapenModel(cut)
+    root = model.init_predictor()
+    states = [root, model.advance_predictor(root, 1)]
+    counters = JoinerCounters()
+    with pytest.raises(ValueError, match="shape"):
+        model.join(model.encode(), (0, 3), states, counters)
     assert counters.calls == 0
 
 
@@ -174,7 +205,7 @@ def test_blank_prior_shifts_blank_mass() -> None:
     state_high = high.init_predictor()
     mean_low = low.join(low.encode(uid="p"), (0, 40), [state_low], JoinerCounters())[0]
     mean_high = high.join(high.encode(uid="p"), (0, 40), [state_high], JoinerCounters())[0]
-    assert np.exp(mean_low.blank_scores).mean() < np.exp(mean_high.blank_scores).mean()
+    assert np.exp(mean_low[:, -1]).mean() < np.exp(mean_high[:, -1]).mean()
 
 
 def _uniform_payload(frames: int, prefixes: int, symbols: int) -> list:
@@ -191,10 +222,10 @@ def test_tabular_model_normalizes_and_clamps_depth() -> None:
     deep = model.advance_predictor(model.advance_predictor(root, 0), 0)
     assert deep.depth == 2
     rows = model.join(encoder, (0, 2), [root, deep], JoinerCounters())
-    assert rows[0].normalization_defect() < 1e-12
+    assert np.abs(log_sum_array(rows[0], axis=-1)).max() < 1e-12
     # depth 2 exceeds the two stored prefix rows, so the last row is reused
     second = model.join(encoder, (0, 2), [model.advance_predictor(root, 0)], JoinerCounters())[0]
-    assert np.array_equal(rows[1].scores, second.scores)
+    assert np.array_equal(rows[1], second)
 
 
 def test_tabular_model_validates_payload() -> None:
@@ -227,11 +258,11 @@ def test_token_cap_model_makes_deep_states_blank_certain() -> None:
     state = capped.init_predictor()
     for _ in range(2):
         state = capped.advance_predictor(state, 1)
-    lattice = capped.join(encoder, (0, 4), [state], JoinerCounters())[0]
-    assert (lattice.scores[:, :-1] == LOG_ZERO).all()
-    assert (lattice.scores[:, -1] == 0.0).all()
+    rows = capped.join(encoder, (0, 4), [state], JoinerCounters())[0]
+    assert (rows[:, :-1] == LOG_ZERO).all()
+    assert (rows[:, -1] == 0.0).all()
     shallow = capped.join(encoder, (0, 4), [capped.init_predictor()], JoinerCounters())[0]
-    assert (shallow.scores[:, :-1] > LOG_ZERO).any()
+    assert (shallow[:, :-1] > LOG_ZERO).any()
 
 
 def test_token_cap_model_validates_and_refuses_spec() -> None:

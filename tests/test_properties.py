@@ -1,0 +1,113 @@
+"""Property tests of the token-wise decoder and the seeded joiner on generated tiny models."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tokenwise.decoder import (
+    UNBOUNDED_BEAM,
+    DecodeConfig,
+    decode_utterance_standard,
+    decode_utterance_tokenwise,
+)
+from tokenwise.logmath import LOG_ZERO
+from tokenwise.model import EncoderOutput, JoinerCounters, SeededModel, TabularModel, TokenCapModel
+
+# Derandomized, so every run checks the same examples and a failure reproduces.
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def seeded_models(draw) -> SeededModel:
+    return SeededModel(
+        vocab_size=draw(st.integers(1, 4)),
+        frames=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**32)),
+        blank_prior=draw(st.sampled_from([0.1, 0.5, 0.85, 0.97])),
+    )
+
+
+@st.composite
+def tabular_models(draw) -> TabularModel:
+    """Raw logits from a small value set, so exact score ties and ``-inf`` occur."""
+    vocab_size = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 3)), vocab_size + 1)
+    logits = draw(
+        arrays(np.float64, shape, elements=st.sampled_from([LOG_ZERO, -2.0, 0.0, 0.0, 1.5]))
+    )
+    logits[(logits == LOG_ZERO).all(axis=-1), -1] = 0.0  # every row needs a finite logit
+    return TabularModel(vocab_size, logits.tolist())
+
+
+models = st.one_of(seeded_models(), tabular_models())
+
+
+@PROPERTY_SETTINGS
+@given(model=models, beam=st.integers(1, 4))
+def test_tokenwise_at_segment_one_equals_standard(model, beam) -> None:
+    encoder = model.encode(uid="prop")
+    config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
+    tokenwise, tw_counters = decode_utterance_tokenwise(model, encoder, config)
+    standard, st_counters = decode_utterance_standard(model, encoder, config)
+    assert tokenwise.entries == standard.entries
+    assert vars(tw_counters) == vars(st_counters)
+
+
+@PROPERTY_SETTINGS
+@given(model=models, beam=st.integers(1, 4), data=st.data())
+def test_tokenwise_nbest_is_ranked_and_bounded(model, beam, data) -> None:
+    encoder = model.encode(uid="prop")
+    segment = data.draw(st.integers(1, encoder.frames + 2))
+    config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
+    counters = JoinerCounters()
+    result, _ = decode_utterance_tokenwise(model, encoder, config, counters)
+    entries = list(result.entries)
+    assert 1 <= len(entries) <= beam
+    assert entries == sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
+    assert all(score <= 1e-12 for _, score in entries)
+    assert counters.frame_joins <= counters.calls * segment
+
+
+@PROPERTY_SETTINGS
+@given(model=models, data=st.data())
+def test_scores_do_not_depend_on_segment_size(model, data) -> None:
+    capped = TokenCapModel(model, cap=3)
+    encoder = capped.encode(uid="prop")
+    segment = data.draw(st.integers(1, encoder.frames + 2))
+
+    def positive(segment_size: int) -> dict:
+        config = DecodeConfig(UNBOUNDED_BEAM, segment_size=segment_size, nbest=UNBOUNDED_BEAM)
+        result, _ = decode_utterance_tokenwise(capped, encoder, config)
+        return {tokens: score for tokens, score in result.entries if score > LOG_ZERO}
+
+    reference, got = positive(1), positive(segment)
+    assert got.keys() == reference.keys()
+    assert all(abs(got[tokens] - reference[tokens]) <= 1e-9 for tokens in got)
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=seeded_models(),
+    frames=st.integers(1, 8),
+    paths=st.lists(st.lists(st.integers(0, 3), max_size=11), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, paths, data) -> None:
+    # ``frames`` may exceed the model's own length, and paths may run deeper
+    # than the depth table (depths 0..frames-1), where join hashes from scratch.
+    encoder = model.encode(frames, uid="tables")
+    bare = EncoderOutput(frames=encoder.frames, handle=encoder.handle, uid=encoder.uid)
+    states = []
+    for path in paths:
+        state = model.init_predictor()
+        for token in path:
+            state = model.advance_predictor(state, token % model.vocab.size)
+        states.append(state)
+    t_begin = data.draw(st.integers(0, frames - 1))
+    t_end = data.draw(st.integers(t_begin + 1, frames))
+    tabled = model.join(encoder, (t_begin, t_end), states, JoinerCounters())
+    recomputed = model.join(bare, (t_begin, t_end), states, JoinerCounters())
+    assert np.array_equal(tabled, recomputed)
