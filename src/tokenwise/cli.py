@@ -159,6 +159,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _column(value: Optional[float], width: int, spec: str) -> str:
+    """A right-aligned table cell; ``-`` for a rate the corpus cannot give."""
+    return f"{'-' if value is None else format(value, spec):>{width}}"
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     beams = args.beam_size if args.beam_size else [1, 2]
     segments = args.segment_size if args.segment_size else [1, 2, 3, 5, 10]
@@ -178,11 +183,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for key, cell in report.cells.items():
         print(
             f"{key:>8}"
-            f" {cell['wer']:>8.4f}"
-            f" {cell['oracle_wer']:>8.4f}"
-            f" {cell['calls_per_frame']:>9.3f}"
-            f" {cell['joins_per_frame']:>9.3f}"
-            f" {cell['timing']['frames_per_second']:>10.0f}"
+            f" {_column(cell['wer'], 8, '.4f')}"
+            f" {_column(cell['oracle_wer'], 8, '.4f')}"
+            f" {_column(cell['calls_per_frame'], 9, '.3f')}"
+            f" {_column(cell['joins_per_frame'], 9, '.3f')}"
+            f" {_column(cell['timing']['frames_per_second'], 10, '.0f')}"
         )
     if args.out is not None:
         print(f"report written to {args.out}", file=sys.stderr)

@@ -192,16 +192,16 @@ class BenchmarkCell:
     beam_size: int
     segment_size: int
     nbest: int
-    wer: float
-    oracle_wer: float
+    wer: Optional[float]
+    oracle_wer: Optional[float]
     calls: int
     frame_joins: int
     frames_decoded: int
     forced_finalizations: int
-    calls_per_frame: float
-    joins_per_frame: float
+    calls_per_frame: Optional[float]
+    joins_per_frame: Optional[float]
     wall_time_sec: float
-    frames_per_second: float
+    frames_per_second: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,9 @@ class BenchmarkReport:
         return strip(data)
 
 
-def _relative_delta(value: float, baseline: float):
+def _relative_delta(value: Optional[float], baseline: Optional[float]):
+    if value is None or baseline is None:
+        return None
     if baseline == 0.0:
         return 0.0 if value == baseline else None
     return (value - baseline) / baseline
@@ -312,7 +314,9 @@ def run_benchmark(
     must be present because each beam size's other cells report deltas
     against it. ``nbest`` is clamped to the cell's beam size. Wall time per
     cell is the median over ``repeats`` full passes; decode output of the
-    first pass is the one scored.
+    first pass is the one scored. Per-frame rates are ``None`` when the
+    corpus has no frames, error rates when it has no reference tokens, and
+    so are the deltas computed from them.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -327,6 +331,7 @@ def run_benchmark(
     utterances = load_corpus(corpus_path, model.vocab)
     if not utterances:
         raise CorpusFormatError(f"corpus {corpus_path} is empty")
+    scored = any(u.reference for u in utterances)
 
     cells: dict[str, BenchmarkCell] = {}
     # One pool serves every cell and repeat; its workers are started before
@@ -360,22 +365,22 @@ def run_benchmark(
                     if results is None:
                         results, counters = pass_results, pass_counters
                 wall = statistics.median(times)
-                stats = efficiency_stats(counters, wall)
+                stats = efficiency_stats(counters, wall) if counters.frames_decoded else None
                 pairs = list(zip((u.reference for u in utterances), results))
                 cells[BenchmarkReport.cell_key(beam, segment)] = BenchmarkCell(
                     beam_size=beam,
                     segment_size=segment,
                     nbest=config.nbest,
-                    wer=corpus_wer([(ref, res.top) for ref, res in pairs]),
-                    oracle_wer=corpus_oracle_wer(pairs),
+                    wer=corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
+                    oracle_wer=corpus_oracle_wer(pairs) if scored else None,
                     calls=counters.calls,
                     frame_joins=counters.frame_joins,
                     frames_decoded=counters.frames_decoded,
                     forced_finalizations=counters.forced_finalizations,
-                    calls_per_frame=stats.calls_per_frame,
-                    joins_per_frame=stats.joins_per_frame,
-                    wall_time_sec=stats.wall_time_sec,
-                    frames_per_second=stats.frames_per_second,
+                    calls_per_frame=stats.calls_per_frame if stats else None,
+                    joins_per_frame=stats.joins_per_frame if stats else None,
+                    wall_time_sec=wall,
+                    frames_per_second=stats.frames_per_second if stats else None,
                 )
 
     cell_dicts: dict[str, dict] = {}

@@ -38,30 +38,53 @@ def log_sum(values: Iterable[float]) -> float:
     return total
 
 
-def log_sum_array(values: np.ndarray, axis: int | None = None):
-    """Log-sum-exp reduction over a numpy array.
+def log_sum_exp(values: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp of a float64 array along ``axis``, keeping that axis.
 
-    Slices that contain only ``LOG_ZERO`` reduce to ``LOG_ZERO`` instead of
-    producing NaN. Returns a float when the reduction removes every axis.
+    The one log-sum-exp kernel; :func:`log_sum_array` and
+    :func:`log_normalize` are built on it. Each slice is shifted by its peak,
+    exponentiated, summed, logged and shifted back, in that order, so the
+    result equals ``log(sum(exp(values - peak))) + peak`` bit for bit. A
+    slice whose peak is not finite is shifted by zero instead: an empty or
+    all-``LOG_ZERO`` slice gives ``LOG_ZERO``, a slice holding ``+inf`` gives
+    ``+inf``, and a slice holding NaN gives NaN.
+    """
+    peak = np.maximum.reduce(values, axis=axis, keepdims=True, initial=LOG_ZERO)
+    finite = np.isfinite(peak).all()
+    if not finite:
+        peak = np.where(np.isfinite(peak), peak, 0.0)
+    shifted = values - peak
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+    if finite:
+        # Every slice holds exp(0) = 1, so no total is zero.
+        np.log(total, out=total)
+    else:
+        with np.errstate(divide="ignore"):
+            np.log(total, out=total)
+    total += peak
+    return total
+
+
+def log_sum_array(values: np.ndarray, axis: int | None = None):
+    """Log-sum-exp reduction over a numpy array, by :func:`log_sum_exp`.
+
+    Empty and all-``LOG_ZERO`` slices reduce to ``LOG_ZERO`` instead of
+    producing NaN; NaN propagates. Returns a float when the reduction
+    removes every axis.
     """
     values = np.asarray(values, dtype=np.float64)
     if axis is None:
         values = values.ravel()
         axis = 0
-    if values.shape[axis] == 0:
-        shape = list(values.shape)
-        del shape[axis % values.ndim]
-        out = np.full(shape, LOG_ZERO)
-        return out if out.ndim else float(out)
-    peak = np.max(values, axis=axis, keepdims=True)
-    anchor = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(values - anchor).sum(axis=axis)) + np.squeeze(anchor, axis=axis)
+    out = np.squeeze(log_sum_exp(values, axis), axis=axis)
     return out if out.ndim else float(out)
 
 
 def log_normalize(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift ``values`` so every slice along ``axis`` log-sums to zero."""
+    """Shift ``values`` so every slice along ``axis`` log-sums to zero.
+
+    Returns ``values`` minus :func:`log_sum_exp` along ``axis``, so NaN
+    propagates and an all-``LOG_ZERO`` slice becomes NaN.
+    """
     values = np.asarray(values, dtype=np.float64)
-    total = log_sum_array(values, axis=axis)
-    return values - np.expand_dims(total, axis)
+    return values - log_sum_exp(values, axis)

@@ -30,7 +30,7 @@ from .types import Hypothesis
 ENUM_MAX_FRAMES = 6
 ENUM_MAX_VOCAB = 4
 ENUM_MAX_TOKENS = 5
-DP_MAX_FRAMES = 12
+DP_MAX_FRAMES = 256
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tokenwise
 from tokenwise.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -184,6 +186,64 @@ def test_decode_empty_corpus_exits_two_before_output(tmp_path: Path, capsys) -> 
     assert not out_path.exists()
 
 
+def _bench_report(tmp_path: Path, corpus_lines: str) -> dict:
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(corpus_lines, encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = main(
+        [
+            "bench",
+            "--model", str(DATA_DIR / "tiny_model.json"),
+            "--corpus", str(corpus),
+            "--beam-size", "2",
+            "--segment-size", "1",
+            "--segment-size", "3",
+            "--out", str(report_path),
+        ]
+    )
+    assert code == 0
+    return json.loads(report_path.read_text(encoding="utf-8"))
+
+
+def test_bench_zero_frame_corpus_reports_null_rates(tmp_path: Path, capsys) -> None:
+    report = _bench_report(
+        tmp_path,
+        '{"id": "a", "frames": 0, "reference": []}\n'
+        '{"id": "b", "frames": 0, "reference": [1]}\n',
+    )
+    for cell in report["cells"].values():
+        assert cell["counters"]["frames_decoded"] == 0
+        assert cell["calls_per_frame"] is None
+        assert cell["joins_per_frame"] is None
+        assert cell["timing"]["frames_per_second"] is None
+        assert cell["timing"]["frames_per_second_delta"] is None
+        assert cell["deltas"]["calls_per_frame"] is None
+        assert cell["deltas"]["joins_per_frame"] is None
+        assert cell["wer"] == 1.0
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    row = next(line for line in captured.out.splitlines() if "N2/S3" in line)
+    assert row.split()[1:] == ["1.0000", "1.0000", "-", "-", "-"]
+
+
+def test_bench_corpus_without_reference_tokens_reports_null_error_rates(
+    tmp_path: Path, capsys
+) -> None:
+    report = _bench_report(
+        tmp_path,
+        '{"id": "a", "frames": 3, "reference": []}\n'
+        '{"id": "b", "frames": 4, "reference": []}\n',
+    )
+    for cell in report["cells"].values():
+        assert cell["wer"] is None
+        assert cell["oracle_wer"] is None
+        assert cell["deltas"]["wer"] is None
+        assert cell["deltas"]["oracle_wer"] is None
+        assert cell["counters"]["frames_decoded"] == 7
+        assert cell["calls_per_frame"] > 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_bad_generate_range_exits_two(tmp_path: Path, capsys) -> None:
     code = main(
         [
@@ -207,11 +267,15 @@ def test_missing_subcommand_is_a_usage_error() -> None:
 
 
 def test_module_entry_point_shows_help() -> None:
+    # The child imports the package the tests import, installed or not.
+    package_root = str(Path(tokenwise.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tokenwise", "--help"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout

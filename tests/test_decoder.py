@@ -7,12 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tokenwise.decoder import (
     DEFAULT_ROUNDS_PER_FRAME,
     DecodeConfig,
     DecodeTrace,
     NBestList,
+    _batch_expansions,
+    _carried_mass,
     add_and_merge,
     blank_run,
     choose_n_best,
@@ -285,6 +290,76 @@ def test_trace_accumulates_counts() -> None:
     trace.record(np.array([-1.0, -2.0]), np.full((2, 2), -3.0), np.array([-1.5, -2.5]))
     assert trace.rounds == 2
     assert trace.mass_checks == 3
+
+
+# Reference expansion step: the carried mass as one ``np.logaddexp`` per frame
+# over the whole batch, and the token scores by the written-out max-shifted
+# log-sum-exp. The batched kernel must reproduce it bit for bit.
+def _reference_carried_mass(emission_mass: np.ndarray, blank_scores: np.ndarray) -> np.ndarray:
+    carry = np.empty_like(emission_mass)
+    carry[..., 0] = emission_mass[..., 0]
+    for t in range(1, emission_mass.shape[-1]):
+        carry[..., t] = np.logaddexp(
+            emission_mass[..., t], carry[..., t - 1] + blank_scores[..., t - 1]
+        )
+    return carry
+
+
+def _reference_batch_expansions(mass: np.ndarray, grids: np.ndarray):
+    blanks = grids[:, :, -1]
+    carry = _reference_carried_mass(mass, blanks)
+    token_mass = carry[:, :, None] + grids[:, :, :-1]
+    peak = np.max(token_mass, axis=1, keepdims=True)
+    anchor = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        token_scores = np.log(np.exp(token_mass - anchor).sum(axis=1)) + np.squeeze(anchor, axis=1)
+    blank_scores = carry[:, -1] + blanks[:, -1]
+    return token_mass, token_scores, blank_scores
+
+
+EXPANSION_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Log-masses and joiner log-probabilities, LOG_ZERO among them; NaN only in
+# the mass, where a corrupt score would enter.
+_log_masses = st.one_of(st.floats(-40.0, 0.0), st.sampled_from([LOG_ZERO, LOG_ZERO, math.nan]))
+_log_probs = st.one_of(st.floats(-20.0, 0.0), st.just(LOG_ZERO))
+
+
+@st.composite
+def _expansion_cases(draw):
+    batch = draw(st.integers(1, 4))
+    frames = draw(st.integers(1, 12))
+    symbols = draw(st.integers(2, 6))
+    mass = draw(arrays(np.float64, (batch, frames), elements=_log_masses))
+    grids = draw(arrays(np.float64, (batch, frames, symbols), elements=_log_probs))
+    return mass, grids
+
+
+def _identical(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+@EXPANSION_SETTINGS
+@given(case=_expansion_cases())
+def test_carried_mass_equals_the_reference_fold_exactly(case) -> None:
+    mass, grids = case
+    blanks = grids[:, :, -1]
+    with np.errstate(all="ignore"):
+        want = _reference_carried_mass(mass, blanks)
+        assert _identical(_carried_mass(mass, blanks), want)
+        # One hypothesis at a time, as the per-hypothesis helpers call it.
+        assert _identical(_carried_mass(mass[0], blanks[0]), want[0])
+
+
+@EXPANSION_SETTINGS
+@given(case=_expansion_cases())
+def test_batch_expansions_equal_the_reference_kernel_exactly(case) -> None:
+    mass, grids = case
+    with np.errstate(all="ignore"):
+        got = _batch_expansions(mass, grids)
+        want = _reference_batch_expansions(mass, grids)
+    for got_part, want_part in zip(got, want):
+        assert _identical(got_part, want_part)
 
 
 def test_search_segment_rejects_ranges_outside_the_utterance() -> None:

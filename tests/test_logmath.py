@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tokenwise.logmath import (
     LOG_ONE,
@@ -13,6 +16,7 @@ from tokenwise.logmath import (
     log_normalize,
     log_sum,
     log_sum_array,
+    log_sum_exp,
 )
 
 
@@ -86,3 +90,95 @@ def test_log_normalize_keeps_zero_entries() -> None:
     normalized = log_normalize(values, axis=-1)
     assert normalized[0, 1] == LOG_ZERO
     assert abs(normalized[0, 0] - math.log(0.5)) < 1e-12
+
+
+# Reference formulas, written out with numpy's generic reductions, an
+# error-state context and shape round trips: the shared kernel must
+# reproduce them bit for bit.
+def _reference_log_sum_array(values: np.ndarray, axis: int | None = None):
+    values = np.asarray(values, dtype=np.float64)
+    if axis is None:
+        values = values.ravel()
+        axis = 0
+    if values.shape[axis] == 0:
+        shape = list(values.shape)
+        del shape[axis % values.ndim]
+        out = np.full(shape, LOG_ZERO)
+        return out if out.ndim else float(out)
+    peak = np.max(values, axis=axis, keepdims=True)
+    anchor = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(values - anchor).sum(axis=axis)) + np.squeeze(anchor, axis=axis)
+    return out if out.ndim else float(out)
+
+
+def _reference_log_normalize(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    total = _reference_log_sum_array(values, axis=axis)
+    return values - np.expand_dims(total, axis)
+
+
+KERNEL_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+# Finite log-values, exact ties, LOG_ZERO, NaN and +inf.
+_entries = st.one_of(
+    st.floats(-60.0, 5.0),
+    st.sampled_from([LOG_ZERO, LOG_ZERO, 0.0, -1.0, math.nan, math.inf]),
+)
+
+
+@st.composite
+def _arrays_and_axes(draw, min_side: int):
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=min_side, max_side=5))
+    values = draw(arrays(np.float64, shape, elements=_entries))
+    if draw(st.booleans()):
+        # Whole slices of LOG_ZERO along the last axis.
+        values[draw(arrays(np.bool_, shape[:-1]))] = LOG_ZERO
+    axis = draw(st.sampled_from([None, -1, *range(len(shape))]))
+    return values, axis
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, float):
+        return isinstance(got, float) and (got == want or (math.isnan(got) and math.isnan(want)))
+    return got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+@KERNEL_SETTINGS
+@given(case=_arrays_and_axes(min_side=0))
+def test_log_sum_array_equals_the_reference_formula_exactly(case) -> None:
+    values, axis = case
+    with np.errstate(all="ignore"):
+        want = _reference_log_sum_array(values, axis)
+        got = log_sum_array(values, axis)
+    assert _same(got, want)
+
+
+@KERNEL_SETTINGS
+@given(case=_arrays_and_axes(min_side=0))
+def test_log_normalize_equals_the_reference_formula_exactly(case) -> None:
+    values, axis = case
+    axis = -1 if axis is None else axis
+    with np.errstate(all="ignore"):
+        want = _reference_log_normalize(values, axis)
+        got = log_normalize(values, axis)
+    assert _same(got, want)
+
+
+@KERNEL_SETTINGS
+@given(case=_arrays_and_axes(min_side=1))
+def test_log_sum_exp_keeps_the_reduced_axis(case) -> None:
+    values, axis = case
+    axis = 0 if axis is None else axis
+    with np.errstate(all="ignore"):
+        want = np.expand_dims(_reference_log_sum_array(values, axis), axis)
+        got = log_sum_exp(values, axis)
+    assert _same(got, want)
+
+
+def test_log_sum_exp_on_finite_input_raises_no_warning() -> None:
+    values = np.array([[0.0, -1.0, -700.0], [-3.0, -3.0, -3.0]])
+    with np.errstate(all="raise"):
+        got = log_sum_exp(values, 1)
+    assert got.shape == (2, 1)
+    assert abs(got[1, 0] - (-3.0 + math.log(3.0))) < 1e-12

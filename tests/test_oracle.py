@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
+from tokenwise.harness import load_corpus
 from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_sum
-from tokenwise.model import SeededModel, TabularModel, TokenCapModel
+from tokenwise.model import SeededModel, TabularModel, TokenCapModel, load_model_file
 from tokenwise.oracle import (
     DP_MAX_FRAMES,
     ENUM_MAX_FRAMES,
@@ -23,6 +26,7 @@ from tokenwise.oracle import (
 )
 
 CAP = 4
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def _tiny_model(rng: np.random.Generator) -> tuple[SeededModel, int]:
@@ -118,6 +122,24 @@ def test_enumeration_limits_are_enforced() -> None:
         exact_sequence_marginal(long_utt, long_utt.encode(), (0,))
     with pytest.raises(ValueError):
         exact_nbest(small, small.encode(), 0, CAP)
+
+
+def test_bench_scores_never_exceed_the_true_marginal() -> None:
+    # A decoded score sums only the alignments the search kept, so it is a
+    # lower bound on the forward-DP marginal, here at bench scale (90-110 frames).
+    model = load_model_file(DATA_DIR / "bench_model.json")
+    utterances = load_corpus(DATA_DIR / "bench_corpus.jsonl", model.vocab)[:20]
+    assert max(u.frames for u in utterances) <= DP_MAX_FRAMES
+    checked = 0
+    for beam, segment in ((1, 1), (4, 5), (1, 10)):
+        config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
+        for utt in utterances:
+            encoder = model.encode(utt.frames, utt.uid)
+            result, _ = decode_utterance_tokenwise(model, encoder, config)
+            for tokens, score in result.entries:
+                assert score <= exact_sequence_marginal(model, encoder, tokens) + 1e-9
+                checked += 1
+    assert checked == 20 * (1 + 4 + 1)
 
 
 def test_blank_certain_model_prefers_empty_sequence() -> None:

@@ -1,4 +1,7 @@
-"""Property tests of the token-wise decoder and the seeded joiner on generated tiny models."""
+"""Property tests of the token-wise decoder and the seeded joiner on generated tiny models.
+
+The exact oracle is the reference wherever an instance is small enough for it.
+"""
 
 from __future__ import annotations
 
@@ -10,20 +13,22 @@ from hypothesis.extra.numpy import arrays
 from tokenwise.decoder import (
     UNBOUNDED_BEAM,
     DecodeConfig,
+    DecodeTrace,
     decode_utterance_standard,
     decode_utterance_tokenwise,
 )
 from tokenwise.logmath import LOG_ZERO
 from tokenwise.model import EncoderOutput, JoinerCounters, SeededModel, TabularModel, TokenCapModel
+from tokenwise.oracle import ENUM_MAX_FRAMES, exact_marginals
 
 # Derandomized, so every run checks the same examples and a failure reproduces.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def seeded_models(draw) -> SeededModel:
+def seeded_models(draw, vocab_sizes=st.integers(1, 4)) -> SeededModel:
     return SeededModel(
-        vocab_size=draw(st.integers(1, 4)),
+        vocab_size=draw(vocab_sizes),
         frames=draw(st.integers(1, 8)),
         seed=draw(st.integers(0, 2**32)),
         blank_prior=draw(st.sampled_from([0.1, 0.5, 0.85, 0.97])),
@@ -31,18 +36,25 @@ def seeded_models(draw) -> SeededModel:
 
 
 @st.composite
-def tabular_models(draw) -> TabularModel:
-    """Raw logits from a small value set, so exact score ties and ``-inf`` occur."""
-    vocab_size = draw(st.integers(1, 4))
+def tabular_models(draw, vocab_sizes=st.integers(1, 4)) -> TabularModel:
+    """Raw logits from a small value set, so exact score ties and ``-inf`` occur.
+
+    Some rows are blank-certain: every token logit is ``-inf``.
+    """
+    vocab_size = draw(vocab_sizes)
     shape = (draw(st.integers(1, 8)), draw(st.integers(1, 3)), vocab_size + 1)
     logits = draw(
         arrays(np.float64, shape, elements=st.sampled_from([LOG_ZERO, -2.0, 0.0, 0.0, 1.5]))
     )
+    logits[draw(arrays(np.bool_, shape[:2])), :-1] = LOG_ZERO
     logits[(logits == LOG_ZERO).all(axis=-1), -1] = 0.0  # every row needs a finite logit
     return TabularModel(vocab_size, logits.tolist())
 
 
 models = st.one_of(seeded_models(), tabular_models())
+single_symbol_models = st.one_of(
+    seeded_models(vocab_sizes=st.just(1)), tabular_models(vocab_sizes=st.just(1))
+)
 
 
 @PROPERTY_SETTINGS
@@ -111,3 +123,53 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
     tabled = model.join(encoder, (t_begin, t_end), states, JoinerCounters())
     recomputed = model.join(bare, (t_begin, t_end), states, JoinerCounters())
     assert np.array_equal(tabled, recomputed)
+
+
+def _matches_exact_marginals(model, cap: int, segment: int) -> None:
+    """Unbounded token-capped decode: every positive-mass sequence, at its exact marginal."""
+    capped = TokenCapModel(model, cap)
+    encoder = capped.encode(min(model.frames, ENUM_MAX_FRAMES), uid="oracle")
+    exact = exact_marginals(capped, encoder, cap)
+    config = DecodeConfig(UNBOUNDED_BEAM, segment_size=segment, nbest=UNBOUNDED_BEAM)
+    trace = DecodeTrace()
+    result, counters = decode_utterance_tokenwise(capped, encoder, config, trace=trace)
+    got = {tokens: score for tokens, score in result.entries if score > LOG_ZERO}
+    want = {tokens: score for tokens, score in exact.marginals.items() if score > LOG_ZERO}
+    assert got.keys() == want.keys()
+    assert all(abs(got[tokens] - want[tokens]) <= 1e-9 for tokens in got)
+    assert exact.excluded_log_mass == LOG_ZERO
+    assert trace.rounds == counters.calls
+    assert trace.max_mass_defect <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(model=models, cap=st.integers(1, 3), data=st.data())
+def test_unbounded_beam_reproduces_the_exact_marginals(model, cap, data) -> None:
+    segment = data.draw(st.integers(1, min(model.frames, ENUM_MAX_FRAMES) + 1))
+    _matches_exact_marginals(model, cap, segment)
+
+
+@PROPERTY_SETTINGS
+@given(model=models, beam=st.integers(1, 4), data=st.data())
+def test_every_expansion_round_conserves_mass(model, beam, data) -> None:
+    encoder = model.encode(uid="mass")
+    segment = data.draw(st.integers(1, encoder.frames + 2))
+    config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
+    trace = DecodeTrace()
+    _, counters = decode_utterance_tokenwise(model, encoder, config, trace=trace)
+    assert trace.rounds == counters.calls
+    assert trace.mass_checks >= trace.rounds
+    assert trace.max_mass_defect <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(model=single_symbol_models, beam=st.integers(1, 3), cap=st.integers(1, 3), data=st.data())
+def test_single_symbol_vocabulary(model, beam, cap, data) -> None:
+    encoder = model.encode(uid="one")
+    config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
+    tokenwise, _ = decode_utterance_tokenwise(model, encoder, config)
+    standard, _ = decode_utterance_standard(model, encoder, config)
+    assert tokenwise.entries == standard.entries
+    assert all(set(tokens) <= {0} for tokens, _ in tokenwise.entries)
+    segment = data.draw(st.integers(1, min(model.frames, ENUM_MAX_FRAMES) + 1))
+    _matches_exact_marginals(model, cap, segment)
