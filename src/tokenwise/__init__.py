@@ -5,16 +5,10 @@ from .decoder import (
     DecodeConfig,
     DecodeTrace,
     NBestList,
-    add_and_merge,
-    blank_run,
     choose_n_best,
-    choose_n_best_expansions,
     choose_nth_score,
     decode_utterance_standard,
     decode_utterance_tokenwise,
-    expand_blank,
-    expand_nonblank,
-    mass_conservation_check,
 )
 from .harness import (
     BenchmarkReport,
@@ -60,6 +54,6 @@ from .oracle import (
     exact_nbest,
     exact_sequence_marginal,
 )
-from .types import Beam, Hypothesis, SegmentLattice, Vocabulary
+from .types import Hypothesis, Vocabulary
 
 __version__ = "0.1.0"

@@ -18,17 +18,18 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .decoder import DecodeConfig, decode_utterance_tokenwise
+from .decoder import DecodeConfig
 from .harness import (
     CorpusFormatError,
     VerifyLimits,
+    decode_corpus,
     generate_corpus,
     load_corpus,
     run_benchmark,
     verify_files,
 )
 from .metrics import corpus_wer, efficiency_stats
-from .model import JoinerCounters, ModelFormatError, load_model, read_model_spec
+from .model import ModelFormatError, load_model, read_model_spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,26 +119,20 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         nbest=args.nbest,
         max_rounds_per_segment=args.max_rounds,
     )
-    lines = []
-    pairs = []
     started = time.perf_counter()
-    counters = JoinerCounters()
-    for utt in utterances:
-        encoder = model.encode(utt.frames, utt.uid)
-        result, _ = decode_utterance_tokenwise(model, encoder, config, counters)
-        pairs.append((utt.reference, result.top))
-        lines.append(
-            json.dumps(
-                {
-                    "id": utt.uid,
-                    "hypotheses": [
-                        {"tokens": list(tokens), "score": score}
-                        for tokens, score in result.entries
-                    ],
-                }
-            )
-        )
+    results, counters = decode_corpus(model, utterances, config)
     elapsed = time.perf_counter() - started
+    lines = [
+        json.dumps(
+            {
+                "id": utt.uid,
+                "hypotheses": [
+                    {"tokens": list(tokens), "score": score} for tokens, score in result.entries
+                ],
+            }
+        )
+        for utt, result in zip(utterances, results)
+    ]
     if args.out is not None:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
@@ -153,7 +148,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         )
     else:
         summary += " 0 frames"
-    if any(reference for reference, _ in pairs):
+    if any(utt.reference for utt in utterances):
+        pairs = [(utt.reference, result.top) for utt, result in zip(utterances, results)]
         summary += f", wer {corpus_wer(pairs):.4f}"
     print(summary, file=sys.stderr)
     return 0

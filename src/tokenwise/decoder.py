@@ -26,15 +26,14 @@ search has explored, never a Viterbi maximum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_array, log_sum_exp
 from .model import EncoderOutput, JoinerCounters, PredictorState, TransducerModel
-from .types import Beam, Hypothesis, SegmentLattice
+from .types import Hypothesis
 
 UNBOUNDED_BEAM = 1_000_000_000
 DEFAULT_ROUNDS_PER_FRAME = 16
@@ -178,105 +177,12 @@ def _batch_expansions(
     return token_mass, token_scores, blank_scores
 
 
-def blank_run(lattice: SegmentLattice, start_frame: int, end_frame: int) -> float:
-    """Log-probability of emitting only blanks at frames start..end_frame-1.
-
-    Frames are 1-based within the lattice; ``end_frame`` may be ``frames+1``
-    to cover a run that exits the segment. Equal endpoints give certainty,
-    a start beyond the end gives probability zero.
-    """
-    frames = lattice.frames
-    if not (1 <= start_frame <= frames + 1) or not (1 <= end_frame <= frames + 1):
-        raise ValueError(
-            f"blank run [{start_frame}, {end_frame}) outside 1..{frames + 1}"
-        )
-    if start_frame > end_frame:
-        return LOG_ZERO
-    return math.fsum(lattice.scores[start_frame - 1 : end_frame - 1, -1])
-
-
-def expand_nonblank(
-    emission_mass: np.ndarray, lattice: SegmentLattice, token: int
-) -> tuple[np.ndarray, float]:
-    """Expand one hypothesis by one non-blank token.
-
-    Each entry of the returned mass sums, over every emission frame of the
-    parent and the blank run connecting it forward, the probability of
-    emitting ``token`` at that frame; its log-sum is the expansion score.
-    """
-    mass = np.asarray(emission_mass, dtype=np.float64)
-    if mass.shape != (lattice.frames,):
-        raise ValueError("emission mass length does not match lattice frames")
-    if not (0 <= token < lattice.num_symbols - 1):
-        raise ValueError(f"token {token} outside lattice vocabulary")
-    carry = _carried_mass(mass, lattice.scores[:, -1])
-    new_mass = carry + lattice.scores[:, token]
-    return new_mass, float(log_sum_array(new_mass))
-
-
-def expand_blank(emission_mass: np.ndarray, lattice: SegmentLattice) -> float:
-    """Score of finishing the segment with blanks only from here on."""
-    mass = np.asarray(emission_mass, dtype=np.float64)
-    if mass.shape != (lattice.frames,):
-        raise ValueError("emission mass length does not match lattice frames")
-    carry = _carried_mass(mass, lattice.scores[:, -1])
-    return float(carry[-1] + lattice.scores[-1, -1])
-
-
-def mass_conservation_check(hyp: Hypothesis, lattice: SegmentLattice) -> float:
-    """Linear-domain defect between a hypothesis score and its expansion mass.
-
-    The blank expansion plus every non-blank expansion partition the paths
-    the hypothesis stands for, so the two sides agree in exact arithmetic.
-    """
-    if hyp.emission_mass is None:
-        raise ValueError("hypothesis carries no emission mass to check")
-    mass = np.asarray(hyp.emission_mass, dtype=np.float64)
-    if mass.shape != (lattice.frames,):
-        raise ValueError("emission mass length does not match lattice frames")
-    carry = _carried_mass(mass, lattice.scores[:, -1])
-    token_total = float(log_sum_array(carry[:, None] + lattice.scores[:, :-1]))
-    blank_total = float(carry[-1] + lattice.scores[-1, -1])
-    total = log_add(blank_total, token_total)
-    if hyp.score == LOG_ZERO:
-        return math.exp(total)
-    return abs(math.exp(hyp.score) * math.expm1(total - hyp.score))
-
-
-def _merge_pair(a: Hypothesis, b: Hypothesis) -> Hypothesis:
-    """Merge two hypotheses over the same token sequence by adding mass."""
-    if a.tokens != b.tokens:
-        raise ValueError("cannot merge different token sequences")
-    if (a.emission_mass is None) != (b.emission_mass is None):
-        raise ValueError("cannot merge a segment-active hypothesis with a finished one")
-    mass = None
-    if a.emission_mass is not None:
-        if a.emission_mass.shape != b.emission_mass.shape:
-            raise ValueError("emission mass lengths differ")
-        mass = np.logaddexp(a.emission_mass, b.emission_mass)
-    return Hypothesis(
-        tokens=a.tokens,
-        score=log_add(a.score, b.score),
-        predictor_state=a.predictor_state,
-        emission_mass=mass,
-    )
-
-
 def _merge_entry(entries: dict, hyp: Hypothesis) -> None:
+    """Add ``hyp`` to ``entries``, adding its score to an equal token sequence's."""
     existing = entries.get(hyp.tokens)
-    entries[hyp.tokens] = hyp if existing is None else _merge_pair(existing, hyp)
-
-
-def add_and_merge(beam: Beam, hyp: Hypothesis) -> Beam:
-    """Insert ``hyp`` into ``beam``, merging with an equal token sequence.
-
-    Merging adds scores in the log domain and, when both sides carry
-    emission mass for the same segment, merges the masses elementwise.
-    The beam is not trimmed here.
-    """
-    entries = {h.tokens: h for h in beam.hypotheses}
-    _merge_entry(entries, hyp)
-    return Beam(tuple(entries.values()), beam.capacity)
+    if existing is not None:
+        hyp = Hypothesis(hyp.tokens, log_add(existing.score, hyp.score), existing.predictor_state)
+    entries[hyp.tokens] = hyp
 
 
 def _rank_key(tokens: tuple[int, ...], score: float):
@@ -310,20 +216,6 @@ def choose_nth_score(hypotheses: Iterable[Hypothesis], n: int) -> float:
     if n < 1:
         raise ValueError("n must be positive")
     return _nth_largest([hyp.score for hyp in hypotheses], n)
-
-
-def choose_n_best_expansions(
-    scores: Mapping[tuple[int, int], float], n: int
-) -> list[tuple[int, int]]:
-    """Top ``n`` (hypothesis index, token) pairs by score.
-
-    Ties break on hypothesis index, then token id, matching the row-major
-    order the batch decoders use.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0][0], item[0][1]))
-    return [pair for pair, _ in ranked[:n]]
 
 
 def _search_segment(

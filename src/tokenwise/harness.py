@@ -16,10 +16,9 @@ import contextlib
 import json
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .decoder import (
     DecodeConfig,
@@ -49,6 +48,9 @@ from .oracle import (
     exact_sequence_marginal,
 )
 from .types import Vocabulary
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
@@ -186,25 +188,6 @@ def generate_corpus(
 
 
 @dataclass(frozen=True)
-class BenchmarkCell:
-    """Measured outcomes of one (beam size, segment size) sweep cell."""
-
-    beam_size: int
-    segment_size: int
-    nbest: int
-    wer: Optional[float]
-    oracle_wer: Optional[float]
-    calls: int
-    frame_joins: int
-    frames_decoded: int
-    forced_finalizations: int
-    calls_per_frame: Optional[float]
-    joins_per_frame: Optional[float]
-    wall_time_sec: float
-    frames_per_second: Optional[float]
-
-
-@dataclass(frozen=True)
 class BenchmarkReport:
     """Full sweep output; serializes deterministically apart from timing."""
 
@@ -260,23 +243,20 @@ def _pool_decode(task: tuple[DecodeConfig, str, int]):
     model = _POOL_STATE["model"]
     encoder = model.encode(frames, uid)
     result, counters = decode_utterance_tokenwise(model, encoder, config)
-    return (
-        result.entries,
-        counters.calls,
-        counters.frame_joins,
-        counters.frames_decoded,
-        counters.forced_finalizations,
-    )
+    return result.entries, counters
 
 
-def _decode_corpus(
+def decode_corpus(
     model: TransducerModel,
     utterances: Sequence[Utterance],
     config: DecodeConfig,
     pool: Optional[ProcessPoolExecutor] = None,
     chunksize: int = 1,
 ) -> tuple[list[NBestList], JoinerCounters]:
-    """Decode every utterance, in this process or, given a pool, in its workers."""
+    """Decode every utterance, in this process or, given a pool, in its workers.
+
+    Results keep the corpus order; the counters are summed over the corpus.
+    """
     counters = JoinerCounters()
     results: list[NBestList] = []
     if pool is None:
@@ -286,14 +266,9 @@ def _decode_corpus(
             results.append(result)
         return results, counters
     tasks = [(config, utt.uid, utt.frames) for utt in utterances]
-    for entries, calls, frame_joins, frames_decoded, forced in pool.map(
-        _pool_decode, tasks, chunksize=chunksize
-    ):
+    for entries, utterance_counters in pool.map(_pool_decode, tasks, chunksize=chunksize):
         results.append(NBestList(entries))
-        counters.calls += calls
-        counters.frame_joins += frame_joins
-        counters.frames_decoded += frames_decoded
-        counters.forced_finalizations += forced
+        counters.merge(utterance_counters)
     return results, counters
 
 
@@ -320,6 +295,8 @@ def run_benchmark(
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     beams = list(dict.fromkeys(int(n) for n in beam_sizes))
     segments = list(dict.fromkeys(int(s) for s in segment_sizes))
     if not beams or not segments:
@@ -333,15 +310,18 @@ def run_benchmark(
         raise CorpusFormatError(f"corpus {corpus_path} is empty")
     scored = any(u.reference for u in utterances)
 
-    cells: dict[str, BenchmarkCell] = {}
+    cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before
     # the first timed pass, so start-up is never billed as decode time.
     chunksize = max(1, len(utterances) // (workers * 4))
-    pool_context = (
-        ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(spec,))
-        if workers > 1
-        else contextlib.nullcontext()
-    )
+    pool_context = contextlib.nullcontext()
+    if workers > 1:
+        # Imported here because it pulls in multiprocessing, which only a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(spec,)
+        )
     with pool_context as pool:
         if pool is not None:
             pool.submit(int).result()
@@ -358,7 +338,7 @@ def run_benchmark(
                 counters: Optional[JoinerCounters] = None
                 for _ in range(repeats):
                     started = time.perf_counter()
-                    pass_results, pass_counters = _decode_corpus(
+                    pass_results, pass_counters = decode_corpus(
                         model, utterances, config, pool, chunksize
                     )
                     times.append(time.perf_counter() - started)
@@ -367,59 +347,35 @@ def run_benchmark(
                 wall = statistics.median(times)
                 stats = efficiency_stats(counters, wall) if counters.frames_decoded else None
                 pairs = list(zip((u.reference for u in utterances), results))
-                cells[BenchmarkReport.cell_key(beam, segment)] = BenchmarkCell(
-                    beam_size=beam,
-                    segment_size=segment,
-                    nbest=config.nbest,
-                    wer=corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
-                    oracle_wer=corpus_oracle_wer(pairs) if scored else None,
-                    calls=counters.calls,
-                    frame_joins=counters.frame_joins,
-                    frames_decoded=counters.frames_decoded,
-                    forced_finalizations=counters.forced_finalizations,
-                    calls_per_frame=stats.calls_per_frame if stats else None,
-                    joins_per_frame=stats.joins_per_frame if stats else None,
-                    wall_time_sec=wall,
-                    frames_per_second=stats.frames_per_second if stats else None,
-                )
+                cells[BenchmarkReport.cell_key(beam, segment)] = {
+                    "beam_size": beam,
+                    "segment_size": segment,
+                    "nbest": config.nbest,
+                    "wer": corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
+                    "oracle_wer": corpus_oracle_wer(pairs) if scored else None,
+                    "counters": {
+                        "calls": counters.calls,
+                        "frame_joins": counters.frame_joins,
+                        "frames_decoded": counters.frames_decoded,
+                        "forced_finalizations": counters.forced_finalizations,
+                    },
+                    "calls_per_frame": stats.calls_per_frame if stats else None,
+                    "joins_per_frame": stats.joins_per_frame if stats else None,
+                    "timing": {
+                        "wall_time_sec": wall,
+                        "frames_per_second": stats.frames_per_second if stats else None,
+                    },
+                }
 
-    cell_dicts: dict[str, dict] = {}
-    for beam in beams:
-        baseline = cells[BenchmarkReport.cell_key(beam, 1)]
-        for segment in segments:
-            cell = cells[BenchmarkReport.cell_key(beam, segment)]
-            cell_dicts[BenchmarkReport.cell_key(beam, segment)] = {
-                "beam_size": cell.beam_size,
-                "segment_size": cell.segment_size,
-                "nbest": cell.nbest,
-                "wer": cell.wer,
-                "oracle_wer": cell.oracle_wer,
-                "counters": {
-                    "calls": cell.calls,
-                    "frame_joins": cell.frame_joins,
-                    "frames_decoded": cell.frames_decoded,
-                    "forced_finalizations": cell.forced_finalizations,
-                },
-                "calls_per_frame": cell.calls_per_frame,
-                "joins_per_frame": cell.joins_per_frame,
-                "deltas": {
-                    "wer": _relative_delta(cell.wer, baseline.wer),
-                    "oracle_wer": _relative_delta(cell.oracle_wer, baseline.oracle_wer),
-                    "calls_per_frame": _relative_delta(
-                        cell.calls_per_frame, baseline.calls_per_frame
-                    ),
-                    "joins_per_frame": _relative_delta(
-                        cell.joins_per_frame, baseline.joins_per_frame
-                    ),
-                },
-                "timing": {
-                    "wall_time_sec": cell.wall_time_sec,
-                    "frames_per_second": cell.frames_per_second,
-                    "frames_per_second_delta": _relative_delta(
-                        cell.frames_per_second, baseline.frames_per_second
-                    ),
-                },
-            }
+    for cell in cells.values():
+        baseline = cells[BenchmarkReport.cell_key(cell["beam_size"], 1)]
+        cell["deltas"] = {
+            name: _relative_delta(cell[name], baseline[name])
+            for name in ("wer", "oracle_wer", "calls_per_frame", "joins_per_frame")
+        }
+        cell["timing"]["frames_per_second_delta"] = _relative_delta(
+            cell["timing"]["frames_per_second"], baseline["timing"]["frames_per_second"]
+        )
 
     meta = {
         "model": {k: v for k, v in spec.to_dict().items() if k != "payload"},
@@ -436,7 +392,7 @@ def run_benchmark(
             "max_rounds_per_segment": max_rounds,
         },
     }
-    report = BenchmarkReport(meta=meta, cells=cell_dicts)
+    report = BenchmarkReport(meta=meta, cells=cells)
     if out_path is not None:
         report.write(out_path)
     return report

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,9 @@ import pytest
 
 import tokenwise
 from tokenwise.cli import main
+from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
+from tokenwise.harness import load_corpus
+from tokenwise.model import load_model_file
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -44,13 +48,14 @@ def test_generate_writes_both_files(tmp_path: Path, capsys) -> None:
 
 
 def test_decode_writes_jsonl(tmp_path: Path, capsys) -> None:
-    model, corpus = _generate(tmp_path)
+    model_path, corpus_path = _generate(tmp_path)
+    capsys.readouterr()
     out_path = tmp_path / "hyps.jsonl"
     code = main(
         [
             "decode",
-            "--model", model,
-            "--corpus", corpus,
+            "--model", model_path,
+            "--corpus", corpus_path,
             "--beam-size", "2",
             "--segment-size", "3",
             "--nbest", "2",
@@ -58,17 +63,25 @@ def test_decode_writes_jsonl(tmp_path: Path, capsys) -> None:
         ]
     )
     assert code == 0
+    # Line by line: the utterance's id and exactly the decoder's entries.
+    model = load_model_file(model_path)
+    utterances = load_corpus(corpus_path, model.vocab)
+    config = DecodeConfig(beam_size=2, segment_size=3, nbest=2)
     lines = out_path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 5
-    for line in lines:
+    assert len(lines) == len(utterances) == 5
+    for line, utt in zip(lines, utterances):
         record = json.loads(line)
-        assert set(record) == {"id", "hypotheses"}
-        assert 1 <= len(record["hypotheses"]) <= 2
-        for hyp in record["hypotheses"]:
-            assert set(hyp) == {"tokens", "score"}
-            assert hyp["score"] <= 0.0
+        assert list(record) == ["id", "hypotheses"]
+        assert record["id"] == utt.uid
+        result, _ = decode_utterance_tokenwise(model, model.encode(utt.frames, utt.uid), config)
+        written = [(tuple(hyp["tokens"]), hyp["score"]) for hyp in record["hypotheses"]]
+        assert written == list(result.entries)
     err = capsys.readouterr().err
-    assert "calls/frame" in err
+    assert re.fullmatch(
+        r"decoded 5 utterances: calls/frame \d+\.\d{3}, joins/frame \d+\.\d{3},"
+        r" frames/sec \d+, wer \d\.\d{4}\n",
+        err,
+    )
 
 
 def test_decode_without_out_prints_jsonl(tmp_path: Path, capsys) -> None:
@@ -103,6 +116,17 @@ def test_bench_prints_table_and_writes_report(tmp_path: Path, capsys) -> None:
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert set(report) == {"meta", "cells"}
     assert set(report["cells"]) == {"N1/S1", "N1/S2", "N2/S1", "N2/S2"}
+
+
+def test_bench_rejects_workers_below_one(tmp_path: Path, capsys) -> None:
+    model, corpus = _generate(tmp_path)
+    capsys.readouterr()
+    for workers in ("0", "-3"):
+        code = main(["bench", "--model", model, "--corpus", corpus, "--workers", workers])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: workers must be positive\n"
 
 
 def test_verify_passes_on_bundled_data(capsys) -> None:
@@ -266,16 +290,34 @@ def test_missing_subcommand_is_a_usage_error() -> None:
     assert excinfo.value.code == 2
 
 
-def test_module_entry_point_shows_help() -> None:
+def _child_env() -> dict:
     # The child imports the package the tests import, installed or not.
     package_root = str(Path(tokenwise.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_shows_help() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "tokenwise", "--help"],
         capture_output=True,
         text=True,
         check=False,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_import_does_not_load_the_process_pool() -> None:
+    # Only ``bench --workers`` above one builds a pool; every other command
+    # should not pay for importing multiprocessing.
+    code = "import sys, tokenwise; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=_child_env(),
+    )
+    assert proc.stdout == "False\n"

@@ -18,28 +18,24 @@ from tokenwise.decoder import (
     NBestList,
     _batch_expansions,
     _carried_mass,
-    add_and_merge,
-    blank_run,
+    _merge_entry,
     choose_n_best,
-    choose_n_best_expansions,
     choose_nth_score,
     decode_utterance_standard,
     decode_utterance_tokenwise,
-    expand_blank,
-    expand_nonblank,
-    mass_conservation_check,
     _search_segment,
 )
 from tokenwise.logmath import LOG_ZERO, log_sum
-from tokenwise.model import JoinerCounters, SeededModel, TabularModel
-from tokenwise.types import Beam, Hypothesis, SegmentLattice
+from tokenwise.model import JoinerCounters, PredictorState, SeededModel, TabularModel
+from tokenwise.types import Hypothesis
 
 
-def _random_lattice(rng: np.random.Generator, frames: int, symbols: int) -> SegmentLattice:
+def _random_lattice(rng: np.random.Generator, frames: int, symbols: int) -> np.ndarray:
+    """One hypothesis's (frames, symbols) block of a joiner grid, blank last."""
     logits = rng.uniform(-3.0, 3.0, size=(frames, symbols))
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)
-    return SegmentLattice(np.log(probs))
+    return np.log(probs)
 
 
 def _random_mass(rng: np.random.Generator, frames: int) -> np.ndarray:
@@ -50,14 +46,20 @@ def _random_mass(rng: np.random.Generator, frames: int) -> np.ndarray:
     return mass
 
 
-def _expand_nonblank_direct(mass: np.ndarray, lattice: SegmentLattice, token: int) -> np.ndarray:
-    frames = lattice.frames
+def _expand_one(mass: np.ndarray, lattice: np.ndarray):
+    """The batched expansion kernel on a batch of one hypothesis."""
+    token_mass, token_scores, blank_scores = _batch_expansions(mass[None, :], lattice[None])
+    return token_mass[0], token_scores[0], float(blank_scores[0])
+
+
+def _expand_nonblank_direct(mass: np.ndarray, lattice: np.ndarray, token: int) -> np.ndarray:
+    frames = lattice.shape[0]
     out = np.full(frames, LOG_ZERO)
     for t in range(frames):
         terms = []
         for origin in range(t + 1):
-            run = float(np.sum(lattice.scores[origin:t, -1]))
-            terms.append(mass[origin] + run + lattice.scores[t, token])
+            run = float(np.sum(lattice[origin:t, -1]))
+            terms.append(mass[origin] + run + lattice[t, token])
         out[t] = log_sum(terms)
     return out
 
@@ -70,7 +72,8 @@ def test_expand_nonblank_matches_double_sum() -> None:
         lattice = _random_lattice(rng, frames, symbols)
         mass = _random_mass(rng, frames)
         token = int(rng.integers(0, symbols - 1))
-        new_mass, score = expand_nonblank(mass, lattice, token)
+        token_mass, token_scores, _ = _expand_one(mass, lattice)
+        new_mass, score = token_mass[:, token], token_scores[token]
         direct = _expand_nonblank_direct(mass, lattice, token)
         with np.errstate(invalid="ignore"):
             diff = new_mass - direct
@@ -83,8 +86,8 @@ def test_expand_nonblank_score_is_mass_total() -> None:
     rng = np.random.default_rng(32)
     lattice = _random_lattice(rng, 5, 4)
     mass = _random_mass(rng, 5)
-    new_mass, score = expand_nonblank(mass, lattice, 1)
-    assert abs(score - log_sum(new_mass.tolist())) < 1e-12
+    token_mass, token_scores, _ = _expand_one(mass, lattice)
+    assert abs(token_scores[1] - log_sum(token_mass[:, 1].tolist())) < 1e-12
 
 
 def test_expand_blank_matches_double_sum() -> None:
@@ -94,104 +97,68 @@ def test_expand_blank_matches_double_sum() -> None:
         lattice = _random_lattice(rng, frames, 4)
         mass = _random_mass(rng, frames)
         direct = log_sum(
-            [
-                float(mass[origin] + np.sum(lattice.scores[origin:, -1]))
-                for origin in range(frames)
-            ]
+            [float(mass[origin] + np.sum(lattice[origin:, -1])) for origin in range(frames)]
         )
-        assert abs(expand_blank(mass, lattice) - direct) < 1e-12
+        assert abs(_expand_one(mass, lattice)[2] - direct) < 1e-12
 
 
-def test_expand_validates_shapes_and_tokens() -> None:
-    rng = np.random.default_rng(34)
-    lattice = _random_lattice(rng, 3, 4)
-    with pytest.raises(ValueError):
-        expand_nonblank(np.zeros(2), lattice, 0)
-    with pytest.raises(ValueError):
-        expand_nonblank(np.zeros(3), lattice, 3)
-    with pytest.raises(ValueError):
-        expand_blank(np.zeros(2), lattice)
+def _blank_run(blanks: np.ndarray, start: int, end: int) -> float:
+    """Log-probability of blanks at frames ``start..end-1``, by carrying a unit mass.
+
+    ``end`` may be ``len(blanks)``, a run that exits the segment: the carry
+    gets one more frame, whose blank score it never reads.
+    """
+    mass = np.full(len(blanks) + 1, LOG_ZERO)
+    mass[start] = 0.0
+    return float(_carried_mass(mass, np.append(blanks, 0.0))[end])
 
 
 def test_blank_run_exact_composition() -> None:
-    scores = np.full((4, 3), -1.25)
-    scores[:, -1] = -0.5
-    lattice = SegmentLattice(scores)
-    assert blank_run(lattice, 1, 1) == 0.0
-    assert blank_run(lattice, 1, 5) == -2.0
-    for split in range(1, 6):
-        assert blank_run(lattice, 1, split) + blank_run(lattice, split, 5) == -2.0
+    blanks = np.full(4, -0.5)
+    assert _blank_run(blanks, 0, 0) == 0.0
+    assert _blank_run(blanks, 0, 4) == -2.0
+    for split in range(5):
+        assert _blank_run(blanks, 0, split) + _blank_run(blanks, split, 4) == -2.0
 
 
 def test_blank_run_general_lattices() -> None:
     rng = np.random.default_rng(35)
     for _ in range(40):
         frames = int(rng.integers(1, 8))
-        lattice = _random_lattice(rng, frames, 3)
-        start = int(rng.integers(1, frames + 2))
-        end = int(rng.integers(1, frames + 2))
-        got = blank_run(lattice, start, end)
+        blanks = _random_lattice(rng, frames, 3)[:, -1]
+        start = int(rng.integers(0, frames + 1))
+        end = int(rng.integers(0, frames + 1))
+        got = _blank_run(blanks, start, end)
         if start > end:
             assert got == LOG_ZERO
         else:
-            want = float(np.sum(lattice.scores[start - 1 : end - 1, -1]))
-            assert abs(got - want) < 1e-12
-
-
-def test_blank_run_rejects_out_of_range() -> None:
-    lattice = SegmentLattice(np.full((2, 3), math.log(1 / 3)))
-    with pytest.raises(ValueError):
-        blank_run(lattice, 0, 2)
-    with pytest.raises(ValueError):
-        blank_run(lattice, 1, 4)
+            assert abs(got - float(np.sum(blanks[start:end]))) < 1e-12
 
 
 def test_mass_conservation_check_on_consistent_hypothesis() -> None:
     rng = np.random.default_rng(36)
+    trace = DecodeTrace()
     for _ in range(30):
         frames = int(rng.integers(1, 7))
         lattice = _random_lattice(rng, frames, 4)
         mass = _random_mass(rng, frames)
-        hyp = Hypothesis((0,), score=log_sum(mass.tolist()), emission_mass=mass)
-        assert mass_conservation_check(hyp, lattice) < 1e-12
-
-
-def test_mass_conservation_check_requires_mass() -> None:
-    lattice = SegmentLattice(np.full((2, 3), math.log(1 / 3)))
-    with pytest.raises(ValueError):
-        mass_conservation_check(Hypothesis((), score=0.0), lattice)
+        _, token_scores, blank_score = _expand_one(mass, lattice)
+        trace.record(
+            np.array([log_sum(mass.tolist())]), token_scores[None], np.array([blank_score])
+        )
+    assert trace.mass_checks == 30
+    assert trace.max_mass_defect < 1e-12
 
 
 def test_add_and_merge_adds_log_scores() -> None:
-    base = Beam((Hypothesis((1,), score=math.log(0.25)),), capacity=4)
-    merged = add_and_merge(base, Hypothesis((1,), score=math.log(0.25)))
-    assert len(merged) == 1
-    assert abs(merged.hypotheses[0].score - math.log(0.5)) < 1e-12
-    grown = add_and_merge(merged, Hypothesis((2,), score=-1.0))
-    assert len(grown) == 2
-
-
-def test_add_and_merge_combines_emission_mass() -> None:
-    mass_a = np.array([math.log(0.25), LOG_ZERO])
-    mass_b = np.array([LOG_ZERO, math.log(0.25)])
-    beam = Beam(
-        (Hypothesis((1,), score=math.log(0.25), emission_mass=mass_a),), capacity=2
-    )
-    merged = add_and_merge(beam, Hypothesis((1,), score=math.log(0.25), emission_mass=mass_b))
-    out = merged.hypotheses[0]
-    assert abs(out.score - math.log(0.5)) < 1e-12
-    assert np.abs(out.emission_mass - math.log(0.25)).max() < 1e-12
-
-
-def test_add_and_merge_rejects_mixed_mass_state() -> None:
-    with_mass = Hypothesis((1,), score=-1.0, emission_mass=np.array([-1.0]))
-    without = Hypothesis((1,), score=-1.0)
-    beam = Beam((with_mass,), capacity=2)
-    with pytest.raises(ValueError):
-        add_and_merge(beam, without)
-    short = Hypothesis((1,), score=-1.0, emission_mass=np.array([-1.0, -2.0]))
-    with pytest.raises(ValueError):
-        add_and_merge(beam, short)
+    entries: dict = {}
+    _merge_entry(entries, Hypothesis((1,), score=math.log(0.25), predictor_state="first"))
+    _merge_entry(entries, Hypothesis((1,), score=math.log(0.25), predictor_state="second"))
+    assert len(entries) == 1
+    assert abs(entries[(1,)].score - math.log(0.5)) < 1e-12
+    assert entries[(1,)].predictor_state == "first"
+    _merge_entry(entries, Hypothesis((2,), score=-1.0))
+    assert list(entries) == [(1,), (2,)]
 
 
 def test_choose_n_best_returns_all_when_n_large() -> None:
@@ -233,19 +200,47 @@ def test_choose_nth_score_handles_short_lists() -> None:
     assert choose_nth_score([], 1) == LOG_ZERO
 
 
+class _AdvanceRecordingModel(TabularModel):
+    """A tabular model that logs each ``(parent key, token)`` the search advances."""
+
+    def __init__(self, vocab_size: int, payload) -> None:
+        super().__init__(vocab_size, payload)
+        self.advanced: list[tuple[int, int]] = []
+
+    def advance_predictor(self, state: PredictorState, token: int) -> PredictorState:
+        self.advanced.append((state.key, token))
+        return super().advance_predictor(state, token)
+
+
 def test_choose_n_best_expansions_matches_full_sort() -> None:
+    # One frame, so a member's expansion score is its score plus the joiner
+    # term exactly. Logits, depths and scores come from small value sets, so
+    # exact ties are common: the search must break them to the lower
+    # (member, token) index, as a full sort on that key does.
     rng = np.random.default_rng(37)
     for _ in range(500):
-        hyps = int(rng.integers(1, 5))
         vocab = int(rng.integers(1, 5))
-        scores = {}
-        for i in range(hyps):
-            for k in range(vocab):
-                scores[(i, k)] = float(rng.choice([-1.0, -2.0, rng.uniform(-5.0, 0.0)]))
-        n = int(rng.integers(1, hyps * vocab + 1))
-        got = choose_n_best_expansions(scores, n)
-        want = sorted(scores, key=lambda pair: (-scores[pair], pair[0], pair[1]))[:n]
-        assert got == want
+        beam_size = int(rng.integers(1, 5))
+        members = int(rng.integers(1, beam_size + 1))
+        payload = rng.choice([0.0, -1.0, -2.0], size=(1, 2, vocab + 1))
+        model = _AdvanceRecordingModel(vocab, payload.tolist())
+        encoder = model.encode()
+        states = [PredictorState(key=i, depth=int(rng.integers(0, 2))) for i in range(members)]
+        scores = [float(rng.choice([-1.0, -2.0])) for _ in range(members)]
+        beam = [((100 + i,), scores[i], states[i]) for i in range(members)]
+        rows = model.join(encoder, (0, 1), states, JoinerCounters())[:, 0, :]
+        blank = sorted((scores[i] + rows[i, -1] for i in range(members)), reverse=True)
+        threshold = blank[beam_size - 1] if members >= beam_size else LOG_ZERO
+        expansion = {
+            (i, k): scores[i] + rows[i, k] for i in range(members) for k in range(vocab)
+        }
+        alive = [pair for pair, score in expansion.items() if score > threshold]
+        want = sorted(alive, key=lambda pair: (-expansion[pair], pair[0], pair[1]))[:beam_size]
+        config = DecodeConfig(beam_size=beam_size)
+        _search_segment(model, encoder, beam, 0, 1, config, JoinerCounters())
+        assert model.advanced[: len(want)] == want
+        if not want:
+            assert model.advanced == []
 
 
 def test_nbest_list_rejects_duplicates_and_indexes() -> None:
@@ -347,7 +342,7 @@ def test_carried_mass_equals_the_reference_fold_exactly(case) -> None:
     with np.errstate(all="ignore"):
         want = _reference_carried_mass(mass, blanks)
         assert _identical(_carried_mass(mass, blanks), want)
-        # One hypothesis at a time, as the per-hypothesis helpers call it.
+        # One hypothesis as a flat row.
         assert _identical(_carried_mass(mass[0], blanks[0]), want[0])
 
 

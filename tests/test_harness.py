@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 from pathlib import Path
@@ -9,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenwise import harness
 from tokenwise.decoder import DecodeConfig, decode_utterance_standard
 from tokenwise.harness import (
     BenchmarkReport,
@@ -227,6 +227,11 @@ def test_run_benchmark_validation(tmp_path: Path) -> None:
         run_benchmark(model_path, corpus_path, beam_sizes=[], segment_sizes=[1])
     with pytest.raises(ValueError):
         run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1], repeats=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_benchmark(
+                model_path, corpus_path, beam_sizes=[1], segment_sizes=[1], workers=workers
+            )
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(CorpusFormatError):
@@ -281,12 +286,12 @@ def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
 def test_run_benchmark_builds_one_pool_per_run(tmp_path: Path, monkeypatch) -> None:
     built = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs) -> None:
             built.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     model_path, corpus_path = _tiny_bench_paths(tmp_path)
     run_benchmark(
         model_path, corpus_path, beam_sizes=[1, 2], segment_sizes=[1, 2], repeats=2, workers=2

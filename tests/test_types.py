@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from tokenwise.logmath import LOG_ZERO
-from tokenwise.types import Beam, Hypothesis, SegmentLattice, Vocabulary
+from tokenwise.types import Hypothesis, Vocabulary
 
 
 def test_vocabulary_blank_is_last_symbol() -> None:
@@ -28,75 +24,7 @@ def test_vocabulary_label_count_must_match() -> None:
         Vocabulary(2, labels=("a",))
 
 
-def _lattice(rows: int = 3, symbols: int = 4) -> SegmentLattice:
-    raw = np.log(np.full((rows, symbols), 1.0 / symbols))
-    return SegmentLattice(raw)
-
-
-def test_lattice_shape_accessors() -> None:
-    lattice = _lattice(rows=3, symbols=4)
-    assert lattice.frames == 3
-    assert lattice.num_symbols == 4
-    assert lattice.blank_scores.shape == (3,)
-    assert abs(lattice.blank_scores[0] - math.log(0.25)) < 1e-12
-
-
-def test_lattice_rejects_bad_shapes() -> None:
-    with pytest.raises(ValueError):
-        SegmentLattice(np.zeros(4))
-    with pytest.raises(ValueError):
-        SegmentLattice(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        SegmentLattice(np.zeros((3, 1)))
-
-
-def test_lattice_scores_are_read_only() -> None:
-    lattice = _lattice()
-    with pytest.raises(ValueError):
-        lattice.scores[0, 0] = 0.0
-
-
-def test_lattice_normalization_defect() -> None:
-    assert _lattice().normalization_defect() < 1e-12
-    skewed = SegmentLattice(np.full((2, 3), math.log(0.5)))
-    assert skewed.normalization_defect() > 0.1
-
-
 def test_hypothesis_coerces_tokens_to_tuple() -> None:
     hyp = Hypothesis([1, 2, 3], score=-1.0)
     assert hyp.tokens == (1, 2, 3)
     assert len(hyp) == 3
-
-
-def test_hypothesis_emission_mass_must_be_flat() -> None:
-    hyp = Hypothesis((1,), score=-1.0, emission_mass=np.array([-1.0, LOG_ZERO]))
-    assert hyp.emission_mass.shape == (2,)
-    with pytest.raises(ValueError):
-        Hypothesis((1,), score=-1.0, emission_mass=np.zeros((2, 2)))
-
-
-def test_hypothesis_emission_mass_is_read_only() -> None:
-    hyp = Hypothesis((1,), score=-1.0, emission_mass=np.array([-1.0, -2.0]))
-    with pytest.raises(ValueError):
-        hyp.emission_mass[0] = 0.0
-
-
-def test_beam_rejects_duplicate_sequences() -> None:
-    a = Hypothesis((1,), score=-1.0)
-    b = Hypothesis((1,), score=-2.0)
-    with pytest.raises(ValueError):
-        Beam((a, b), capacity=4)
-
-
-def test_beam_capacity_must_be_positive() -> None:
-    with pytest.raises(ValueError):
-        Beam((), capacity=0)
-
-
-def test_beam_iteration_and_views() -> None:
-    hyps = (Hypothesis((), score=-0.5), Hypothesis((2,), score=-1.5))
-    beam = Beam(hyps, capacity=2)
-    assert len(beam) == 2
-    assert list(beam) == list(hyps)
-    assert beam.scores() == [-0.5, -1.5]
-    assert beam.sequences() == [(), (2,)]
