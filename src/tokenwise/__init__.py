@@ -5,8 +5,6 @@ from .decoder import (
     DecodeConfig,
     DecodeTrace,
     NBestList,
-    choose_n_best,
-    choose_nth_score,
     decode_utterance_standard,
     decode_utterance_tokenwise,
 )
@@ -54,6 +52,6 @@ from .oracle import (
     exact_nbest,
     exact_sequence_marginal,
 )
-from .types import Hypothesis, Vocabulary
+from .types import Vocabulary
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .harness import (
     verify_files,
 )
 from .metrics import corpus_wer, efficiency_stats
-from .model import ModelFormatError, load_model, read_model_spec
+from .model import DEFAULT_BLANK_PRIOR, ModelFormatError, load_model_file
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--vocab-size", type=int, default=16)
     gen.add_argument("--frames-min", type=int, default=90)
     gen.add_argument("--frames-max", type=int, default=110)
-    gen.add_argument("--blank-prior", type=float, default=0.85)
+    gen.add_argument("--blank-prior", type=float, default=DEFAULT_BLANK_PRIOR)
     gen.add_argument("--model", required=True, help="output model JSON path")
     gen.add_argument("--corpus", required=True, help="output corpus JSONL path")
 
@@ -109,7 +109,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    model = load_model(read_model_spec(args.model))
+    model = load_model_file(args.model)
     utterances = load_corpus(args.corpus, model.vocab)
     if not utterances:
         raise CorpusFormatError(f"corpus {args.corpus} is empty")

@@ -14,10 +14,11 @@ Two interchangeable strategies over the same model interface:
 
 Both strategies apply the same selection rules (merging, ranking, pruning,
 tie-breaking), so with a segment size of one they make identical decisions
-and produce identical beams. They are implemented independently: the
-standard decoder over :class:`Hypothesis` objects and the selection
-utilities below, the token-wise decoder over arrays, so each can check the
-other.
+and produce identical beams. Both hold the beam between frames or segments
+as ranked ``(tokens, score, state)`` entries and share only the ranking.
+The rest is implemented independently, so each can check the other: the
+standard decoder scores products along each path, the token-wise decoder
+works on emission-mass arrays.
 
 Scores are natural-log probabilities throughout. A hypothesis score is the
 sum of the probabilities of every alignment of its token sequence that the
@@ -27,13 +28,12 @@ search has explored, never a Viterbi maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_array, log_sum_exp
 from .model import EncoderOutput, JoinerCounters, PredictorState, TransducerModel
-from .types import Hypothesis
 
 UNBOUNDED_BEAM = 1_000_000_000
 DEFAULT_ROUNDS_PER_FRAME = 16
@@ -59,12 +59,11 @@ class DecodeConfig:
         if self.max_rounds_per_segment is not None and self.max_rounds_per_segment < 1:
             raise ValueError("round cap must be positive")
 
-    def rounds_cap(self, segment_size: Optional[int] = None) -> int:
+    def rounds_cap(self, segment_size: int) -> int:
         """Emission-round budget for one segment of ``segment_size`` frames."""
         if self.max_rounds_per_segment is not None:
             return self.max_rounds_per_segment
-        width = self.segment_size if segment_size is None else segment_size
-        return DEFAULT_ROUNDS_PER_FRAME * width
+        return DEFAULT_ROUNDS_PER_FRAME * segment_size
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,8 @@ class NBestList:
                 raise ValueError("duplicate sequence in n-best list")
             seen.add(tokens)
 
-    @classmethod
-    def from_hypotheses(cls, hypotheses: Iterable[Hypothesis], n: int) -> "NBestList":
-        top = choose_n_best(list(hypotheses), n)
-        return cls(tuple((hyp.tokens, hyp.score) for hyp in top))
-
     def sequences(self) -> list[tuple[int, ...]]:
         return [tokens for tokens, _ in self.entries]
-
-    def score_of(self, tokens: tuple[int, ...]) -> float:
-        for seq, score in self.entries:
-            if seq == tokens:
-                return score
-        raise KeyError(f"sequence {tokens} not in n-best list")
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -177,31 +165,20 @@ def _batch_expansions(
     return token_mass, token_scores, blank_scores
 
 
-def _merge_entry(entries: dict, hyp: Hypothesis) -> None:
-    """Add ``hyp`` to ``entries``, adding its score to an equal token sequence's."""
-    existing = entries.get(hyp.tokens)
-    if existing is not None:
-        hyp = Hypothesis(hyp.tokens, log_add(existing.score, hyp.score), existing.predictor_state)
-    entries[hyp.tokens] = hyp
-
-
 def _rank_key(tokens: tuple[int, ...], score: float):
     return (-score, len(tokens), tokens)
 
 
-def _hypothesis_rank(hyp: Hypothesis):
-    return _rank_key(hyp.tokens, hyp.score)
+def _ranked(entries: dict, n: int) -> list[tuple[tuple[int, ...], float, PredictorState]]:
+    """Top ``n`` of a ``tokens -> (score, state)`` dict as ``(tokens, score, state)``.
 
-
-def choose_n_best(hypotheses: Sequence[Hypothesis], n: int) -> list[Hypothesis]:
-    """Top ``n`` hypotheses by score; ties prefer shorter, then lexicographic.
-
-    The ordering is total, so the result is independent of input order.
-    Fewer than ``n`` inputs are all returned.
+    Ties prefer shorter, then lexicographically smaller sequences; the order
+    is total, so insertion order does not matter. Fewer entries are all kept.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return sorted(hypotheses, key=_hypothesis_rank)[:n]
+    ranked = sorted(entries.items(), key=lambda item: _rank_key(item[0], item[1][0]))
+    return [(seq, score, state) for seq, (score, state) in ranked[:n]]
 
 
 def _nth_largest(values: Sequence[float], n: int) -> float:
@@ -209,13 +186,6 @@ def _nth_largest(values: Sequence[float], n: int) -> float:
     if len(values) < n:
         return LOG_ZERO
     return sorted(values, reverse=True)[n - 1]
-
-
-def choose_nth_score(hypotheses: Iterable[Hypothesis], n: int) -> float:
-    """Score of the ``n``-th best hypothesis, or ``LOG_ZERO`` if fewer exist."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _nth_largest([hyp.score for hyp in hypotheses], n)
 
 
 def _search_segment(
@@ -286,8 +256,7 @@ def _search_segment(
         # nothing inside one round needs merging.
         states = [model.advance_predictor(states[p], k) for p, k in pairs]
         tokens = [tokens[p] + (k,) for p, k in pairs]
-    ranked = sorted(finished.items(), key=lambda item: _rank_key(item[0], item[1][0]))
-    return [(seq, score, state) for seq, (score, state) in ranked[: config.beam_size]]
+    return _ranked(finished, config.beam_size)
 
 
 def decode_utterance_tokenwise(
@@ -313,6 +282,17 @@ def decode_utterance_tokenwise(
     return NBestList(entries), counters
 
 
+def _merge_entry(entries: dict, tokens: tuple[int, ...], score: float, state) -> None:
+    """Add ``(score, state)`` under ``tokens``, log-adding an equal sequence's score.
+
+    An entry already there keeps its predictor state and its place.
+    """
+    existing = entries.get(tokens)
+    if existing is not None:
+        score, state = log_add(existing[0], score), existing[1]
+    entries[tokens] = (score, state)
+
+
 def decode_utterance_standard(
     model: TransducerModel,
     encoder: EncoderOutput,
@@ -330,27 +310,22 @@ def decode_utterance_standard(
     counters.frames_decoded += encoder.frames
     cap = config.rounds_cap(1)
     vocab_size = model.vocab.size
-    beam_hyps: list[Hypothesis] = [Hypothesis((), LOG_ONE, model.init_predictor())]
+    beam = [((), LOG_ONE, model.init_predictor())]
     for t in range(encoder.frames):
-        active = list(beam_hyps)
-        finished: dict[tuple[int, ...], Hypothesis] = {}
+        active = beam
+        finished: dict[tuple[int, ...], tuple[float, PredictorState]] = {}
         rounds = 0
         while active:
             rounds += 1
-            rows = model.join(
-                encoder, (t, t + 1), [h.predictor_state for h in active], counters
-            )[:, 0, :]
-            scores = np.array([h.score for h in active])
-            token_scores = scores[:, None] + rows[:, :vocab_size]
-            blank_scores = scores + rows[:, vocab_size]
+            rows = model.join(encoder, (t, t + 1), [state for _, _, state in active], counters)
+            scores = np.array([score for _, score, _ in active])
+            token_scores = scores[:, None] + rows[:, 0, :vocab_size]
+            blank_scores = scores + rows[:, 0, vocab_size]
             if trace is not None:
                 trace.record(scores, token_scores, blank_scores)
-            for hyp, closed_score in zip(active, blank_scores):
-                _merge_entry(
-                    finished,
-                    Hypothesis(hyp.tokens, float(closed_score), hyp.predictor_state),
-                )
-            threshold = choose_nth_score(finished.values(), config.beam_size)
+            for (seq, _, state), closed in zip(active, blank_scores):
+                _merge_entry(finished, seq, float(closed), state)
+            threshold = _nth_largest([score for score, _ in finished.values()], config.beam_size)
             flat = token_scores.ravel()
             alive = np.flatnonzero(flat > threshold)
             if alive.size == 0:
@@ -359,17 +334,12 @@ def decode_utterance_standard(
                 counters.forced_finalizations += len(active)
                 break
             order = alive[np.argsort(-flat[alive], kind="stable")]
-            next_active: dict[tuple[int, ...], Hypothesis] = {}
+            children: dict[tuple[int, ...], tuple[float, PredictorState]] = {}
             for flat_index in order[: config.beam_size]:
-                parent_index, token = divmod(int(flat_index), vocab_size)
-                parent = active[parent_index]
-                child = Hypothesis(
-                    parent.tokens + (token,),
-                    float(flat[flat_index]),
-                    model.advance_predictor(parent.predictor_state, token),
-                )
-                _merge_entry(next_active, child)
-            active = list(next_active.values())
-        top = choose_n_best(list(finished.values()), config.beam_size)
-        beam_hyps = [Hypothesis(h.tokens, h.score, h.predictor_state) for h in top]
-    return NBestList.from_hypotheses(beam_hyps, config.nbest), counters
+                parent, token = divmod(int(flat_index), vocab_size)
+                seq, _, state = active[parent]
+                child = model.advance_predictor(state, token)
+                _merge_entry(children, seq + (token,), float(flat[flat_index]), child)
+            active = [(seq, score, state) for seq, (score, state) in children.items()]
+        beam = _ranked(finished, config.beam_size)
+    return NBestList(tuple((seq, score) for seq, score, _ in beam[: config.nbest])), counters

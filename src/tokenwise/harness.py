@@ -30,12 +30,14 @@ from .decoder import (
 )
 from .metrics import corpus_oracle_wer, corpus_wer, efficiency_stats
 from .model import (
+    DEFAULT_BLANK_PRIOR,
     JoinerCounters,
     ModelSpec,
     TokenCapModel,
     TransducerModel,
     _mix64,
     load_model,
+    load_model_file,
     read_model_spec,
     write_model_spec,
 )
@@ -54,6 +56,7 @@ if TYPE_CHECKING:
 
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
+VERIFY_BEAM_SIZES = (1, 2, 5)
 
 
 class CorpusFormatError(ValueError):
@@ -138,7 +141,7 @@ def generate_corpus(
     count: int,
     vocab_size: int,
     frames_range: tuple[int, int],
-    blank_prior: float = 0.85,
+    blank_prior: float = DEFAULT_BLANK_PRIOR,
     model_path: Optional[str | Path] = None,
     corpus_path: Optional[str | Path] = None,
 ) -> tuple[ModelSpec, list[Utterance]]:
@@ -303,6 +306,18 @@ def run_benchmark(
         raise ValueError("need at least one beam size and one segment size")
     if 1 not in segments:
         raise ValueError("segment sizes must include 1, the per-frame baseline")
+    # Every cell's config is checked before any work, so a bad size late in
+    # the sweep cannot cost a decode of the earlier cells.
+    configs = {
+        (beam, segment): DecodeConfig(
+            beam_size=beam,
+            segment_size=segment,
+            nbest=min(nbest, beam),
+            max_rounds_per_segment=max_rounds,
+        )
+        for beam in beams
+        for segment in segments
+    }
     spec = read_model_spec(model_path)
     model = load_model(spec)
     utterances = load_corpus(corpus_path, model.vocab)
@@ -325,47 +340,40 @@ def run_benchmark(
     with pool_context as pool:
         if pool is not None:
             pool.submit(int).result()
-        for beam in beams:
-            for segment in segments:
-                config = DecodeConfig(
-                    beam_size=beam,
-                    segment_size=segment,
-                    nbest=min(nbest, beam),
-                    max_rounds_per_segment=max_rounds,
+        for (beam, segment), config in configs.items():
+            times = []
+            results: Optional[list[NBestList]] = None
+            counters: Optional[JoinerCounters] = None
+            for _ in range(repeats):
+                started = time.perf_counter()
+                pass_results, pass_counters = decode_corpus(
+                    model, utterances, config, pool, chunksize
                 )
-                times = []
-                results: Optional[list[NBestList]] = None
-                counters: Optional[JoinerCounters] = None
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    pass_results, pass_counters = decode_corpus(
-                        model, utterances, config, pool, chunksize
-                    )
-                    times.append(time.perf_counter() - started)
-                    if results is None:
-                        results, counters = pass_results, pass_counters
-                wall = statistics.median(times)
-                stats = efficiency_stats(counters, wall) if counters.frames_decoded else None
-                pairs = list(zip((u.reference for u in utterances), results))
-                cells[BenchmarkReport.cell_key(beam, segment)] = {
-                    "beam_size": beam,
-                    "segment_size": segment,
-                    "nbest": config.nbest,
-                    "wer": corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
-                    "oracle_wer": corpus_oracle_wer(pairs) if scored else None,
-                    "counters": {
-                        "calls": counters.calls,
-                        "frame_joins": counters.frame_joins,
-                        "frames_decoded": counters.frames_decoded,
-                        "forced_finalizations": counters.forced_finalizations,
-                    },
-                    "calls_per_frame": stats.calls_per_frame if stats else None,
-                    "joins_per_frame": stats.joins_per_frame if stats else None,
-                    "timing": {
-                        "wall_time_sec": wall,
-                        "frames_per_second": stats.frames_per_second if stats else None,
-                    },
-                }
+                times.append(time.perf_counter() - started)
+                if results is None:
+                    results, counters = pass_results, pass_counters
+            wall = statistics.median(times)
+            stats = efficiency_stats(counters, wall) if counters.frames_decoded else None
+            pairs = list(zip((u.reference for u in utterances), results))
+            cells[BenchmarkReport.cell_key(beam, segment)] = {
+                "beam_size": beam,
+                "segment_size": segment,
+                "nbest": config.nbest,
+                "wer": corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
+                "oracle_wer": corpus_oracle_wer(pairs) if scored else None,
+                "counters": {
+                    "calls": counters.calls,
+                    "frame_joins": counters.frame_joins,
+                    "frames_decoded": counters.frames_decoded,
+                    "forced_finalizations": counters.forced_finalizations,
+                },
+                "calls_per_frame": stats.calls_per_frame if stats else None,
+                "joins_per_frame": stats.joins_per_frame if stats else None,
+                "timing": {
+                    "wall_time_sec": wall,
+                    "frames_per_second": stats.frames_per_second if stats else None,
+                },
+            }
 
     for cell in cells.values():
         baseline = cells[BenchmarkReport.cell_key(cell["beam_size"], 1)]
@@ -404,7 +412,6 @@ class VerifyLimits:
 
     tolerance: float = 1e-9
     max_tokens: int = 4
-    beam_sizes: tuple[int, ...] = (1, 2, 5)
 
 
 @dataclass(frozen=True)
@@ -453,6 +460,8 @@ def verify(
         raise ValueError(f"verification handles vocabularies up to {ENUM_MAX_VOCAB}")
     if not (1 <= limits.max_tokens <= ENUM_MAX_TOKENS):
         raise ValueError(f"max_tokens must lie in 1..{ENUM_MAX_TOKENS}")
+    if not limits.tolerance >= 0.0:
+        raise ValueError("tolerance must be a non-negative number")
 
     tol = limits.tolerance
     results: list[PropertyResult] = []
@@ -463,7 +472,7 @@ def verify(
     pairs_checked = 0
     for utt in utterances:
         encoder = model.encode(utt.frames, utt.uid)
-        for beam in limits.beam_sizes:
+        for beam in VERIFY_BEAM_SIZES:
             config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
             reference, _ = decode_utterance_standard(model, encoder, config, trace=trace)
             segmented, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
@@ -551,7 +560,7 @@ def verify(
     bound_defect = 0.0
     for utt in utterances:
         encoder = model.encode(utt.frames, utt.uid)
-        for beam in limits.beam_sizes:
+        for beam in VERIFY_BEAM_SIZES:
             for segment in (1, 3):
                 config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
                 decoded, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
@@ -583,6 +592,6 @@ def verify_files(
     corpus_path: str | Path,
     limits: VerifyLimits = VerifyLimits(),
 ) -> VerificationSummary:
-    model = load_model(read_model_spec(model_path))
+    model = load_model_file(model_path)
     utterances = load_corpus(corpus_path, model.vocab)
     return verify(model, utterances, limits)

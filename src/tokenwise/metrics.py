@@ -37,7 +37,6 @@ class EfficiencyStats:
     calls_per_frame: float
     joins_per_frame: float
     frames_per_second: float
-    wall_time_sec: float
 
 
 def edit_distance(reference: Sequence[int], hypothesis: Sequence[int]) -> ErrorCounts:
@@ -122,5 +121,4 @@ def efficiency_stats(counters: JoinerCounters, wall_time_sec: float) -> Efficien
         calls_per_frame=counters.calls / counters.frames_decoded,
         joins_per_frame=counters.frame_joins / counters.frames_decoded,
         frames_per_second=counters.frames_decoded / wall_time_sec,
-        wall_time_sec=wall_time_sec,
     )

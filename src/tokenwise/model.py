@@ -212,10 +212,6 @@ class TransducerModel(ABC):
     ) -> np.ndarray:
         """Raw (states, frames, symbols) grid of normalized log-probabilities."""
 
-    @abstractmethod
-    def spec(self) -> ModelSpec:
-        """Spec that reconstructs this model via :func:`load_model`."""
-
     def join(
         self,
         encoder: EncoderOutput,
@@ -429,15 +425,6 @@ class SeededModel(TransducerModel):
         log_tokens = log_normalize(token_logits, axis=-1) + log_nonblank[:, :, None]
         return np.concatenate([log_tokens, log_blank[:, :, None]], axis=2)
 
-    def spec(self) -> ModelSpec:
-        return ModelSpec(
-            kind="seeded",
-            vocab_size=self.vocab.size,
-            frames=self.frames,
-            seed=self.seed,
-            blank_prior=self.blank_prior,
-        )
-
 
 class TabularModel(TransducerModel):
     """Joiner outputs read from an explicit raw-logit table.
@@ -491,14 +478,6 @@ class TabularModel(TransducerModel):
         block = self._table[t_begin:t_end, rows, :]
         return log_normalize(np.transpose(block, (1, 0, 2)), axis=-1)
 
-    def spec(self) -> ModelSpec:
-        return ModelSpec(
-            kind="tabular",
-            vocab_size=self.vocab.size,
-            frames=self.frames,
-            payload=self._table.tolist(),
-        )
-
 
 class TokenCapModel(TransducerModel):
     """Wrapper that makes states at ``cap`` or more emitted tokens blank-certain.
@@ -530,9 +509,6 @@ class TokenCapModel(TransducerModel):
                 grid[i, :, :-1] = LOG_ZERO
                 grid[i, :, -1] = LOG_ONE
         return grid
-
-    def spec(self) -> ModelSpec:
-        raise ModelFormatError("token-capped models are in-memory only")
 
 
 def load_model(spec: ModelSpec) -> TransducerModel:

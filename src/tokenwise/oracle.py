@@ -8,7 +8,7 @@ cross-checks it and stretches to somewhat longer utterances.
 An alignment path interleaves token emissions (which keep the frame fixed)
 with blank emissions (which advance the frame); it completes when the blank
 of the last frame is emitted. The marginal probability of a token sequence
-is the sum over all of its alignment paths. Hypothesis lengths are capped
+is the sum over all of its alignment paths. Sequence lengths are capped
 so the path set is finite; every path cut off at the cap is accounted for
 in ``excluded_log_mass`` rather than dropped, so the total mass over
 complete and excluded paths is exactly one.
@@ -22,10 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .decoder import NBestList, _hypothesis_rank
+from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum
 from .model import EncoderOutput, JoinerCounters, TransducerModel
-from .types import Hypothesis
 
 ENUM_MAX_FRAMES = 6
 ENUM_MAX_VOCAB = 4
@@ -236,15 +235,10 @@ def exact_nbest(
     model: TransducerModel, encoder: EncoderOutput, n: int, max_tokens: int
 ) -> NBestList:
     """Top ``n`` sequences by exact marginal, ranked like the decoders."""
-    if n < 1:
-        raise ValueError("n must be positive")
     exact = exact_marginals(model, encoder, max_tokens)
-    ranked = sorted(
-        (
-            Hypothesis(tokens, score)
-            for tokens, score in exact.marginals.items()
-            if score > LOG_ZERO or tokens == ()
-        ),
-        key=_hypothesis_rank,
-    )
-    return NBestList(tuple((hyp.tokens, hyp.score) for hyp in ranked[:n]))
+    entries = {
+        tokens: (score, None)
+        for tokens, score in exact.marginals.items()
+        if score > LOG_ZERO or tokens == ()
+    }
+    return NBestList(tuple((tokens, score) for tokens, score, _ in _ranked(entries, n)))

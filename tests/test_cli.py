@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tokenwise
+from tokenwise import harness
 from tokenwise.cli import main
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
@@ -129,6 +130,32 @@ def test_bench_rejects_workers_below_one(tmp_path: Path, capsys) -> None:
         assert captured.err == "error: workers must be positive\n"
 
 
+def test_bench_rejects_a_bad_size_before_decoding_any_cell(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    model, corpus = _generate(tmp_path)
+    capsys.readouterr()
+    decoded = []
+    real_decode_corpus = harness.decode_corpus
+
+    def logged_decode_corpus(*args):
+        decoded.append(args)
+        return real_decode_corpus(*args)
+
+    monkeypatch.setattr(harness, "decode_corpus", logged_decode_corpus)
+    cases = {
+        ("--beam-size", "1", "--segment-size", "1", "--segment-size", "0"): "segment size",
+        ("--beam-size", "1", "--beam-size", "0", "--segment-size", "1"): "beam size",
+    }
+    for sizes, size in cases.items():
+        code = main(["bench", "--model", model, "--corpus", corpus, *sizes])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {size} must be positive\n"
+    assert decoded == []
+
+
 def test_verify_passes_on_bundled_data(capsys) -> None:
     code = main(
         [
@@ -154,6 +181,22 @@ def test_verify_zero_tolerance_exits_one(capsys) -> None:
     )
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_negative_or_nan_tolerance(capsys) -> None:
+    for tolerance in ("-1", "nan"):
+        code = main(
+            [
+                "verify",
+                "--model", str(DATA_DIR / "tiny_model.json"),
+                "--corpus", str(DATA_DIR / "tiny_corpus.jsonl"),
+                "--tolerance", tolerance,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be a non-negative number\n"
 
 
 def test_missing_model_exits_two(tmp_path: Path, capsys) -> None:

@@ -19,15 +19,14 @@ from tokenwise.decoder import (
     _batch_expansions,
     _carried_mass,
     _merge_entry,
-    choose_n_best,
-    choose_nth_score,
+    _nth_largest,
+    _ranked,
     decode_utterance_standard,
     decode_utterance_tokenwise,
     _search_segment,
 )
 from tokenwise.logmath import LOG_ZERO, log_sum
 from tokenwise.model import JoinerCounters, PredictorState, SeededModel, TabularModel
-from tokenwise.types import Hypothesis
 
 
 def _random_lattice(rng: np.random.Generator, frames: int, symbols: int) -> np.ndarray:
@@ -152,52 +151,44 @@ def test_mass_conservation_check_on_consistent_hypothesis() -> None:
 
 def test_add_and_merge_adds_log_scores() -> None:
     entries: dict = {}
-    _merge_entry(entries, Hypothesis((1,), score=math.log(0.25), predictor_state="first"))
-    _merge_entry(entries, Hypothesis((1,), score=math.log(0.25), predictor_state="second"))
+    _merge_entry(entries, (1,), math.log(0.25), "first")
+    _merge_entry(entries, (1,), math.log(0.25), "second")
     assert len(entries) == 1
-    assert abs(entries[(1,)].score - math.log(0.5)) < 1e-12
-    assert entries[(1,)].predictor_state == "first"
-    _merge_entry(entries, Hypothesis((2,), score=-1.0))
+    assert abs(entries[(1,)][0] - math.log(0.5)) < 1e-12
+    assert entries[(1,)][1] == "first"
+    _merge_entry(entries, (2,), -1.0, None)
     assert list(entries) == [(1,), (2,)]
 
 
 def test_choose_n_best_returns_all_when_n_large() -> None:
-    hyps = [Hypothesis((i,), score=-float(i)) for i in range(3)]
-    assert choose_n_best(hyps, 10) == sorted(hyps, key=lambda h: -h.score)
+    entries = {(i,): (-float(i), f"state{i}") for i in (2, 0, 1)}
+    assert _ranked(entries, 10) == [((i,), -float(i), f"state{i}") for i in range(3)]
 
 
 def test_choose_n_best_orders_by_score() -> None:
-    hyps = [
-        Hypothesis((1,), score=-3.0),
-        Hypothesis((2,), score=-1.0),
-        Hypothesis((3,), score=-2.0),
-    ]
-    top = choose_n_best(hyps, 2)
-    assert [h.tokens for h in top] == [(2,), (3,)]
+    entries = {(1,): (-3.0, None), (2,): (-1.0, None), (3,): (-2.0, None)}
+    top = _ranked(entries, 2)
+    assert [tokens for tokens, _, _ in top] == [(2,), (3,)]
 
 
 def test_choose_n_best_ties_prefer_shorter_then_lexicographic() -> None:
-    hyps = [
-        Hypothesis((2, 1), score=-1.0),
-        Hypothesis((1, 2), score=-1.0),
-        Hypothesis((3,), score=-1.0),
-    ]
-    for ordering in itertools.permutations(hyps):
-        top = choose_n_best(list(ordering), 3)
-        assert [h.tokens for h in top] == [(3,), (1, 2), (2, 1)]
+    sequences = [(2, 1), (1, 2), (3,)]
+    for ordering in itertools.permutations(sequences):
+        top = _ranked({tokens: (-1.0, None) for tokens in ordering}, 3)
+        assert [tokens for tokens, _, _ in top] == [(3,), (1, 2), (2, 1)]
 
 
 def test_choose_n_best_rejects_bad_n() -> None:
     with pytest.raises(ValueError):
-        choose_n_best([], 0)
+        _ranked({}, 0)
 
 
 def test_choose_nth_score_handles_short_lists() -> None:
-    hyps = [Hypothesis((1,), score=-1.0), Hypothesis((2,), score=-2.0)]
-    assert choose_nth_score(hyps, 1) == -1.0
-    assert choose_nth_score(hyps, 2) == -2.0
-    assert choose_nth_score(hyps, 3) == LOG_ZERO
-    assert choose_nth_score([], 1) == LOG_ZERO
+    scores = [-2.0, -1.0]
+    assert _nth_largest(scores, 1) == -1.0
+    assert _nth_largest(scores, 2) == -2.0
+    assert _nth_largest(scores, 3) == LOG_ZERO
+    assert _nth_largest([], 1) == LOG_ZERO
 
 
 class _AdvanceRecordingModel(TabularModel):
@@ -248,10 +239,8 @@ def test_nbest_list_rejects_duplicates_and_indexes() -> None:
         NBestList((((1,), -1.0), ((1,), -2.0)))
     out = NBestList((((1,), -1.0), ((2,), -2.0)))
     assert out.top == (1,)
-    assert out.score_of((2,)) == -2.0
+    assert dict(out.entries)[(2,)] == -2.0
     assert out.sequences() == [(1,), (2,)]
-    with pytest.raises(KeyError):
-        out.score_of((9,))
     with pytest.raises(IndexError):
         NBestList(()).top
 
@@ -266,7 +255,7 @@ def test_decode_config_validation() -> None:
     with pytest.raises(ValueError):
         DecodeConfig(beam_size=1, max_rounds_per_segment=0)
     config = DecodeConfig(beam_size=2, segment_size=3)
-    assert config.rounds_cap() == 48
+    assert config.rounds_cap(3) == 48
     assert config.rounds_cap(1) == 16
     assert DecodeConfig(beam_size=2, max_rounds_per_segment=7).rounds_cap(9) == 7
 

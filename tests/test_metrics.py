@@ -133,7 +133,6 @@ def test_efficiency_stats_division() -> None:
     assert stats.calls_per_frame == pytest.approx(0.5)
     assert stats.joins_per_frame == pytest.approx(2.0)
     assert stats.frames_per_second == pytest.approx(50.0)
-    assert stats.wall_time_sec == 2.0
 
 
 def test_efficiency_stats_validation() -> None:

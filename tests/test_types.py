@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tokenwise.types import Hypothesis, Vocabulary
+from tokenwise.types import Vocabulary
 
 
 def test_vocabulary_blank_is_last_symbol() -> None:
@@ -16,15 +16,3 @@ def test_vocabulary_blank_is_last_symbol() -> None:
 def test_vocabulary_rejects_empty() -> None:
     with pytest.raises(ValueError):
         Vocabulary(0)
-
-
-def test_vocabulary_label_count_must_match() -> None:
-    assert Vocabulary(2, labels=("a", "b")).labels == ("a", "b")
-    with pytest.raises(ValueError):
-        Vocabulary(2, labels=("a",))
-
-
-def test_hypothesis_coerces_tokens_to_tuple() -> None:
-    hyp = Hypothesis([1, 2, 3], score=-1.0)
-    assert hyp.tokens == (1, 2, 3)
-    assert len(hyp) == 3
