@@ -12,7 +12,6 @@ from .harness import (
     BenchmarkReport,
     Utterance,
     VerificationSummary,
-    VerifyLimits,
     generate_corpus,
     load_corpus,
     run_benchmark,
@@ -38,20 +37,17 @@ from .model import (
     TabularModel,
     TokenCapModel,
     TransducerModel,
+    Vocabulary,
     load_model,
     load_model_file,
     read_model_spec,
     write_model_spec,
 )
 from .oracle import (
-    AlignmentPath,
     ExactMarginals,
-    enumerate_alignment_paths,
     exact_marginals,
-    exact_marginals_dp,
     exact_nbest,
     exact_sequence_marginal,
 )
-from .types import Vocabulary
 
 __version__ = "0.1.0"

@@ -15,13 +15,11 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .decoder import DecodeConfig
 from .harness import (
     CorpusFormatError,
-    VerifyLimits,
     decode_corpus,
     generate_corpus,
     load_corpus,
@@ -29,7 +27,7 @@ from .harness import (
     verify_files,
 )
 from .metrics import corpus_wer, efficiency_stats
-from .model import DEFAULT_BLANK_PRIOR, ModelFormatError, load_model_file
+from .model import DEFAULT_BLANK_PRIOR, ModelFormatError, load_model_file, write_text_file
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,7 +132,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         for utt, result in zip(utterances, results)
     ]
     if args.out is not None:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_file(args.out, "\n".join(lines) + "\n")
     else:
         for line in lines:
             print(line)
@@ -191,8 +189,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    limits = VerifyLimits(tolerance=args.tolerance, max_tokens=args.max_tokens)
-    summary = verify_files(args.model, args.corpus, limits)
+    summary = verify_files(
+        args.model, args.corpus, tolerance=args.tolerance, max_tokens=args.max_tokens
+    )
     for result in summary.results:
         mark = "PASS" if result.passed else "FAIL"
         print(f"{mark} {result.name}: {result.detail}")

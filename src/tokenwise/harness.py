@@ -35,11 +35,13 @@ from .model import (
     ModelSpec,
     TokenCapModel,
     TransducerModel,
+    Vocabulary,
     _mix64,
     load_model,
     load_model_file,
     read_model_spec,
     write_model_spec,
+    write_text_file,
 )
 from .oracle import (
     ENUM_MAX_FRAMES,
@@ -49,7 +51,6 @@ from .oracle import (
     exact_nbest,
     exact_sequence_marginal,
 )
-from .types import Vocabulary
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -124,8 +125,6 @@ def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Ut
 
 def save_corpus(utterances: Iterable[Utterance], path: str | Path) -> None:
     """Write a corpus as JSONL; a fixed field order keeps output reproducible."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for utt in utterances:
         lines.append(
@@ -133,7 +132,7 @@ def save_corpus(utterances: Iterable[Utterance], path: str | Path) -> None:
                 {"id": utt.uid, "frames": utt.frames, "reference": list(utt.reference)}
             )
         )
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def generate_corpus(
@@ -208,9 +207,7 @@ class BenchmarkReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def write(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
+        write_text_file(path, self.to_json())
 
     @staticmethod
     def strip_timing(data: dict) -> dict:
@@ -407,14 +404,6 @@ def run_benchmark(
 
 
 @dataclass(frozen=True)
-class VerifyLimits:
-    """Knobs for :func:`verify`; defaults suit the bundled tiny corpus."""
-
-    tolerance: float = 1e-9
-    max_tokens: int = 4
-
-
-@dataclass(frozen=True)
 class PropertyResult:
     name: str
     passed: bool
@@ -434,17 +423,21 @@ class VerificationSummary:
 def verify(
     model: TransducerModel,
     utterances: Sequence[Utterance],
-    limits: VerifyLimits = VerifyLimits(),
+    *,
+    tolerance: float = 1e-9,
+    max_tokens: int = 4,
 ) -> VerificationSummary:
     """Check the decoding invariants end to end on a tiny corpus.
 
     Instances must be small enough for the exact oracle (it re-derives
-    every marginal by brute force). The checks: the segment decoder at
-    segment size one matches the frame-synchronous reference decoder; every
-    expansion round conserves probability mass; with a token cap and an
-    unbounded beam the decoder reproduces the exact marginals and their
-    ranking; final scores do not depend on the segment size; and no beam
-    score ever exceeds its sequence's true marginal.
+    every marginal by brute force); zero-frame utterances are allowed.
+    The checks: the segment decoder at segment size one matches the
+    frame-synchronous reference decoder; every expansion round conserves
+    probability mass; with a token cap of ``max_tokens`` and an unbounded
+    beam the decoder reproduces the exact marginals and their ranking; final
+    scores do not depend on the segment size; and no beam score ever
+    exceeds its sequence's true marginal. Each passes when its largest
+    defect is at most ``tolerance``.
     """
     if not utterances:
         raise ValueError("verification needs at least one utterance")
@@ -454,16 +447,13 @@ def verify(
                 f"utterance {utt.uid!r} has {utt.frames} frames;"
                 f" verification handles at most {ENUM_MAX_FRAMES}"
             )
-        if utt.frames < 1:
-            raise ValueError(f"utterance {utt.uid!r} has no frames")
     if model.vocab.size > ENUM_MAX_VOCAB:
         raise ValueError(f"verification handles vocabularies up to {ENUM_MAX_VOCAB}")
-    if not (1 <= limits.max_tokens <= ENUM_MAX_TOKENS):
+    if not (1 <= max_tokens <= ENUM_MAX_TOKENS):
         raise ValueError(f"max_tokens must lie in 1..{ENUM_MAX_TOKENS}")
-    if not limits.tolerance >= 0.0:
+    if not tolerance >= 0.0:
         raise ValueError("tolerance must be a non-negative number")
 
-    tol = limits.tolerance
     results: list[PropertyResult] = []
     trace = DecodeTrace()
 
@@ -489,13 +479,13 @@ def verify(
     results.append(
         PropertyResult(
             "s1-equivalence",
-            not mismatch and score_gap <= tol,
+            not mismatch and score_gap <= tolerance,
             score_gap,
             mismatch or f"max |score gap| {score_gap:.3e} over {pairs_checked} decode pairs",
         )
     )
 
-    capped = TokenCapModel(model, limits.max_tokens)
+    capped = TokenCapModel(model, max_tokens)
     exact_defect = 0.0
     exact_detail = ""
     exact_ok = True
@@ -504,11 +494,12 @@ def verify(
     invariance_ok = True
     for utt in utterances:
         encoder = capped.encode(utt.frames, utt.uid)
-        exact = exact_marginals(capped, encoder, limits.max_tokens)
-        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, limits.max_tokens)
+        exact = exact_marginals(capped, encoder, max_tokens)
+        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, max_tokens)
 
+        whole = max(utt.frames, 1)
         by_segment: dict[int, NBestList] = {}
-        for segment in sorted({1, 2, 3, utt.frames}):
+        for segment in sorted({1, 2, 3, whole}):
             config = DecodeConfig(
                 beam_size=UNBOUNDED_BEAM, segment_size=segment, nbest=UNBOUNDED_BEAM
             )
@@ -517,7 +508,7 @@ def verify(
             )
             by_segment[segment] = decoded
 
-        full = by_segment[utt.frames]
+        full = by_segment[whole]
         if exact_ok:
             if full.sequences() != truth.sequences():
                 exact_ok = False
@@ -543,7 +534,7 @@ def verify(
     results.append(
         PropertyResult(
             "oracle-exactness",
-            exact_ok and exact_defect <= tol,
+            exact_ok and exact_defect <= tolerance,
             exact_defect,
             exact_detail or f"max |marginal gap| {exact_defect:.3e}",
         )
@@ -551,7 +542,7 @@ def verify(
     results.append(
         PropertyResult(
             "segment-invariance",
-            invariance_ok and invariance_defect <= tol,
+            invariance_ok and invariance_defect <= tolerance,
             invariance_defect,
             invariance_detail or f"max |score gap| {invariance_defect:.3e}",
         )
@@ -570,7 +561,7 @@ def verify(
     results.append(
         PropertyResult(
             "score-upper-bound",
-            bound_defect <= tol,
+            bound_defect <= tolerance,
             max(bound_defect, 0.0),
             f"max score excess over true marginal {max(bound_defect, 0.0):.3e}",
         )
@@ -579,7 +570,7 @@ def verify(
     results.append(
         PropertyResult(
             "mass-conservation",
-            trace.max_mass_defect <= tol,
+            trace.max_mass_defect <= tolerance,
             trace.max_mass_defect,
             f"max defect {trace.max_mass_defect:.3e} over {trace.mass_checks} checks",
         )
@@ -590,8 +581,10 @@ def verify(
 def verify_files(
     model_path: str | Path,
     corpus_path: str | Path,
-    limits: VerifyLimits = VerifyLimits(),
+    *,
+    tolerance: float = 1e-9,
+    max_tokens: int = 4,
 ) -> VerificationSummary:
     model = load_model_file(model_path)
     utterances = load_corpus(corpus_path, model.vocab)
-    return verify(model, utterances, limits)
+    return verify(model, utterances, tolerance=tolerance, max_tokens=max_tokens)

@@ -26,7 +26,6 @@ from typing import Any, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .logmath import LOG_ONE, LOG_ZERO, log_normalize
-from .types import Vocabulary
 
 
 class ModelFormatError(ValueError):
@@ -73,6 +72,30 @@ def _mix64_array(values: np.ndarray) -> np.ndarray:
 def _string_key(text: str) -> int:
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """Token inventory. Non-blank ids are ``0..size-1``; blank is ``size``.
+
+    Blank is not a real token: it never appears in emitted sequences, only
+    as the extra final column of a lattice row.
+    """
+
+    size: int
+
+    def __post_init__(self) -> None:
+        if self.size < 1:
+            raise ValueError("vocabulary needs at least one non-blank token")
+
+    @property
+    def blank_id(self) -> int:
+        return self.size
+
+    @property
+    def num_symbols(self) -> int:
+        """Width of a lattice row: all tokens plus blank."""
+        return self.size + 1
 
 
 @dataclass(frozen=True)
@@ -170,15 +193,24 @@ class ModelSpec:
         unknown = set(data) - known
         if unknown:
             raise ModelFormatError(f"unknown model spec fields: {sorted(unknown)}")
+        # JSON true and false load as bool, a subclass of int, so both checks exclude bool.
+        for name in ("vocab_size", "frames", "seed"):
+            value = data.get(name, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ModelFormatError(f"{name} must be an integer")
+        prior = data.get("blank_prior", 0.0)
+        if not isinstance(prior, (int, float)) or isinstance(prior, bool):
+            raise ModelFormatError("blank_prior must be a number")
+        for kind, name in (("seeded", "payload"), ("tabular", "seed"), ("tabular", "blank_prior")):
+            if data.get("kind") == kind and name in data:
+                raise ModelFormatError(f"a {kind} model takes no {name}")
         try:
             return cls(
                 kind=data["kind"],
-                vocab_size=int(data["vocab_size"]),
-                frames=int(data["frames"]),
-                seed=None if data.get("seed") is None else int(data["seed"]),
-                blank_prior=(
-                    None if data.get("blank_prior") is None else float(data["blank_prior"])
-                ),
+                vocab_size=data["vocab_size"],
+                frames=data["frames"],
+                seed=data.get("seed"),
+                blank_prior=float(prior) if "blank_prior" in data else None,
                 payload=data.get("payload"),
             )
         except KeyError as exc:
@@ -331,9 +363,8 @@ class SeededModel(TransducerModel):
         """Every joiner term that depends on the frame alone or the depth alone.
 
         These stand in for a network's encoder and predictor projections.
-        The depth table covers depths ``0..frames-1``; deeper states, and an
-        encoder output without tables, are hashed from scratch by
-        :meth:`_script_positions` and :meth:`_depth_terms` at join time.
+        The depth table covers depths ``0..frames-1``; deeper states are
+        hashed from scratch by :meth:`_depth_terms` at join time.
         """
         if len(self._indices[0]) < frames:
             self._indices = _index_hashes(frames)
@@ -350,15 +381,6 @@ class SeededModel(TransducerModel):
                 np.int64
             ),
         )
-
-    def _script_positions(self, handle: int, frames: int) -> np.ndarray:
-        """Per frame, how many tokens the script demands by that frame."""
-        frame_ids = np.arange(frames, dtype=np.uint64)
-        spike_unit = (
-            _mix64_array(np.uint64(handle) ^ _mix64_array(frame_ids + np.uint64(_SPIKE_SALT)))
-            >> np.uint64(11)
-        ).astype(np.float64) * (2.0 ** -53)
-        return np.cumsum(spike_unit < (1.0 - self.blank_prior)).astype(np.int64)
 
     def _depth_terms(self, handle: int, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per depth, hashed from scratch: the gate's depth key and the preferred token."""
@@ -379,17 +401,14 @@ class SeededModel(TransducerModel):
 
     def _segment_scores(self, encoder, t_begin, t_end, states):
         tables = encoder.payload
-        depths = np.array([s.depth for s in states], dtype=np.int64)
-        if tables is None:
-            frame_ids = np.arange(t_begin, t_end, dtype=np.uint64)
-            frame_keys = _mix64_array(
-                np.uint64(encoder.handle) ^ (frame_ids + np.uint64(_FRAME_SALT))
+        if not isinstance(tables, SeededTables):
+            raise ValueError(
+                "encoder output carries no seeded tables; build it with SeededModel.encode"
             )
-            demanded = self._script_positions(encoder.handle, encoder.frames)[t_begin:t_end]
-        else:
-            frame_keys = tables.frame_keys[t_begin:t_end]
-            demanded = tables.demanded[t_begin:t_end]
-        if tables is not None and depths.max() < len(tables.preferred):
+        depths = np.array([s.depth for s in states], dtype=np.int64)
+        frame_keys = tables.frame_keys[t_begin:t_end]
+        demanded = tables.demanded[t_begin:t_end]
+        if depths.max() < len(tables.preferred):
             depth_keys = tables.depth_keys[depths]
             preferred = tables.preferred[depths]
         else:
@@ -541,11 +560,15 @@ def read_model_spec(path: str | Path) -> ModelSpec:
     return ModelSpec.from_dict(data)
 
 
-def write_model_spec(spec: ModelSpec, path: str | Path) -> None:
+def write_text_file(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, creating missing parent directories first."""
     path = Path(path)
-    path.write_text(
-        json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def write_model_spec(spec: ModelSpec, path: str | Path) -> None:
+    write_text_file(path, json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def load_model_file(path: str | Path) -> TransducerModel:

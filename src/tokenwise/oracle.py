@@ -1,9 +1,10 @@
-"""Exact brute-force references for tiny decoding instances.
+"""Exact references that the decoders are checked against.
 
-Two independent routes to the same numbers: explicit enumeration of every
-alignment path, and a forward dynamic program over the (frame,
-emitted-token-count) grid. The enumeration is the root of trust; the DP
-cross-checks it and stretches to somewhat longer utterances.
+``exact_marginals`` enumerates every alignment path of a tiny instance and
+``exact_nbest`` ranks its sequences like the decoders do. For one given
+sequence, ``exact_sequence_marginal`` runs a forward dynamic program over
+the (frame, emitted-token-count) grid, which stretches to bench-length
+utterances (up to ``DP_MAX_FRAMES``).
 
 An alignment path interleaves token emissions (which keep the frame fixed)
 with blank emissions (which advance the frame); it completes when the blank
@@ -16,14 +17,12 @@ complete and excluded paths is exactly one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .decoder import NBestList, _ranked
-from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum
+from .logmath import LOG_ONE, LOG_ZERO, log_add
 from .model import EncoderOutput, JoinerCounters, TransducerModel
 
 ENUM_MAX_FRAMES = 6
@@ -33,29 +32,12 @@ DP_MAX_FRAMES = 256
 
 
 @dataclass(frozen=True)
-class AlignmentPath:
-    """One complete alignment: the emitted symbols frame by frame.
-
-    ``emissions`` lists, for each frame in order, the tokens emitted there
-    followed implicitly by the blank that advanced past the frame.
-    """
-
-    tokens: tuple[int, ...]
-    emissions: tuple[tuple[int, ...], ...]
-    log_prob: float
-
-
-@dataclass(frozen=True)
 class ExactMarginals:
     """Alignment-sum marginals for every sequence up to the length cap."""
 
     marginals: dict
     excluded_log_mass: float
     max_tokens: int
-
-    def total_log_mass(self) -> float:
-        """Mass of complete plus excluded paths; zero in exact arithmetic."""
-        return log_add(log_sum(self.marginals.values()), self.excluded_log_mass)
 
     def log_prob(self, tokens: tuple[int, ...]) -> float:
         return self.marginals.get(tuple(tokens), LOG_ZERO)
@@ -101,84 +83,48 @@ def _check_enum_limits(model: TransducerModel, encoder: EncoderOutput, max_token
         raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
 
 
-def _walk_paths(
-    model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> Iterator[tuple[str, tuple[int, ...], float, tuple]]:
-    """Depth-first traversal shared by the event and path views.
-
-    Yields ``("complete", tokens, log_prob, per_frame_emissions)`` once per
-    complete path and ``("truncated", tokens, log_mass, ())`` whenever an
-    emission would push a sequence past the cap; the truncated mass covers
-    every continuation of that emission. Zero-probability branches are not
-    entered, so their sequences simply stay at marginal zero.
-    """
-    frames = encoder.frames
-    cache = _RowCache(model, encoder)
-    vocab_size = model.vocab.size
-
-    def walk(frame, prefix, log_prob, done_frames, frame_tokens):
-        rows = cache.rows(prefix)
-        blank_score = log_prob + rows[frame, vocab_size]
-        if blank_score > LOG_ZERO:
-            closed = done_frames + (frame_tokens,)
-            if frame + 1 == frames:
-                yield ("complete", prefix, blank_score, closed)
-            else:
-                yield from walk(frame + 1, prefix, blank_score, closed, ())
-        for token in range(vocab_size):
-            emit_score = log_prob + rows[frame, token]
-            if emit_score == LOG_ZERO:
-                continue
-            if len(prefix) >= max_tokens:
-                yield ("truncated", prefix + (token,), emit_score, ())
-            else:
-                yield from walk(
-                    frame, prefix + (token,), emit_score, done_frames, frame_tokens + (token,)
-                )
-
-    yield from walk(0, (), LOG_ONE, (), ())
-
-
-def iter_alignment_events(
-    model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> Iterator[tuple[str, tuple[int, ...], float]]:
-    """Complete and truncated alignment masses, in traversal order."""
-    _check_enum_limits(model, encoder, max_tokens)
-    if encoder.frames == 0:
-        yield ("complete", (), LOG_ONE)
-        return
-    for kind, tokens, log_prob, _ in _walk_paths(model, encoder, max_tokens):
-        yield (kind, tokens, log_prob)
-
-
-def enumerate_alignment_paths(
-    model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> list[AlignmentPath]:
-    """Every complete alignment path as an :class:`AlignmentPath`."""
-    _check_enum_limits(model, encoder, max_tokens)
-    if encoder.frames == 0:
-        return [AlignmentPath((), (), LOG_ONE)]
-    return [
-        AlignmentPath(tokens, emissions, log_prob)
-        for kind, tokens, log_prob, emissions in _walk_paths(model, encoder, max_tokens)
-        if kind == "complete"
-    ]
-
-
 def exact_marginals(
     model: TransducerModel, encoder: EncoderOutput, max_tokens: int
 ) -> ExactMarginals:
     """Alignment-sum marginal of every sequence of at most ``max_tokens``.
 
-    Only tiny instances are accepted; the walk is exponential by design.
+    One depth-first walk over the alignment paths: at each node the blank
+    branch is taken before the tokens in id order. Each complete path's mass
+    is log-added into its sequence's marginal; an emission that would push a
+    sequence past the cap log-adds its mass, which covers every continuation,
+    into ``excluded_log_mass``. Zero-probability branches are not entered, so
+    their sequences stay at marginal zero. Only tiny instances are accepted;
+    the walk is exponential by design.
     """
+    _check_enum_limits(model, encoder, max_tokens)
+    frames = encoder.frames
+    vocab_size = model.vocab.size
+    cache = _RowCache(model, encoder)
     marginals: dict = {}
     excluded = LOG_ZERO
-    for kind, tokens, log_prob in iter_alignment_events(model, encoder, max_tokens):
-        if kind == "complete":
-            marginals[tokens] = log_add(marginals.get(tokens, LOG_ZERO), log_prob)
-        else:
-            excluded = log_add(excluded, log_prob)
+
+    def walk(frame: int, prefix: tuple[int, ...], log_prob: float) -> None:
+        nonlocal excluded
+        rows = cache.rows(prefix)
+        blank_score = log_prob + rows[frame, vocab_size]
+        if blank_score > LOG_ZERO:
+            if frame + 1 == frames:
+                marginals[prefix] = log_add(marginals.get(prefix, LOG_ZERO), blank_score)
+            else:
+                walk(frame + 1, prefix, blank_score)
+        for token in range(vocab_size):
+            emit_score = log_prob + rows[frame, token]
+            if emit_score == LOG_ZERO:
+                continue
+            if len(prefix) >= max_tokens:
+                excluded = log_add(excluded, emit_score)
+            else:
+                walk(frame, prefix + (token,), emit_score)
+
+    if frames == 0:
+        marginals[()] = LOG_ONE
+    else:
+        walk(0, (), LOG_ONE)
     return ExactMarginals(marginals, excluded, max_tokens)
 
 
@@ -212,23 +158,6 @@ def exact_sequence_marginal(
                 total = log_add(total, grid[t - 1, u] + prefix_rows[u][t - 1, blank])
             grid[t, u] = total
     return float(grid[frames - 1, count] + prefix_rows[count][frames - 1, blank])
-
-
-def exact_marginals_dp(
-    model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> dict:
-    """Marginals of every sequence up to the cap, via the forward DP route."""
-    if model.vocab.size > ENUM_MAX_VOCAB:
-        raise ValueError(f"full DP sweep handles vocabularies up to {ENUM_MAX_VOCAB}")
-    if max_tokens > ENUM_MAX_TOKENS:
-        raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
-    out: dict = {}
-    for length in range(max_tokens + 1):
-        for tokens in itertools.product(range(model.vocab.size), repeat=length):
-            marginal = exact_sequence_marginal(model, encoder, tokens)
-            if marginal > LOG_ZERO or length == 0:
-                out[tokens] = marginal
-    return out
 
 
 def exact_nbest(

@@ -199,6 +199,83 @@ def test_verify_rejects_a_negative_or_nan_tolerance(capsys) -> None:
         assert captured.err == "error: tolerance must be a non-negative number\n"
 
 
+def test_verify_accepts_a_zero_frame_utterance(tmp_path: Path, capsys) -> None:
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        (DATA_DIR / "tiny_corpus.jsonl").read_text(encoding="utf-8")
+        + '{"id": "empty", "frames": 0, "reference": []}\n',
+        encoding="utf-8",
+    )
+    code = main(
+        ["verify", "--model", str(DATA_DIR / "tiny_model.json"), "--corpus", str(corpus)]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("PASS") == 5
+    assert captured.err == ""
+
+
+def test_model_file_with_mistyped_fields_exits_two(tmp_path: Path, capsys) -> None:
+    seeded = {"kind": "seeded", "vocab_size": 3, "frames": 6, "seed": 1, "blank_prior": 0.6}
+    tabular = {"kind": "tabular", "vocab_size": 1, "frames": 1, "payload": [[[0.0, 0.0]]]}
+    cases = [
+        {**seeded, "vocab_size": None},
+        {**seeded, "vocab_size": 4.9},
+        {**seeded, "vocab_size": "3"},
+        {**seeded, "frames": [12]},
+        {**seeded, "frames": "12"},
+        {**seeded, "frames": True},
+        {**seeded, "seed": True},
+        {**seeded, "seed": 1.0},
+        {**seeded, "seed": None},
+        {**seeded, "blank_prior": "0.6"},
+        {**seeded, "blank_prior": None},
+        {**seeded, "blank_prior": False},
+        {**seeded, "payload": tabular["payload"]},
+        {**tabular, "seed": 1},
+        {**tabular, "blank_prior": 0.6},
+    ]
+    path = tmp_path / "model.json"
+    for spec in cases:
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(
+            ["decode", "--model", str(path), "--corpus", str(DATA_DIR / "tiny_corpus.jsonl")]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), spec
+        assert captured.err.startswith("error: "), spec
+    # The unmodified specs still load.
+    for spec in (seeded, tabular):
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert load_model_file(path).vocab.size == spec["vocab_size"]
+
+
+def test_generate_and_decode_create_missing_output_directories(
+    tmp_path: Path, capsys
+) -> None:
+    model = tmp_path / "models" / "m.json"
+    corpus = tmp_path / "corpora" / "c.jsonl"
+    code = main(
+        [
+            "generate",
+            "--seed", "77",
+            "--count", "2",
+            "--vocab-size", "4",
+            "--frames-min", "8",
+            "--frames-max", "12",
+            "--model", str(model),
+            "--corpus", str(corpus),
+        ]
+    )
+    assert code == 0
+    assert model.exists() and corpus.exists()
+    out_path = tmp_path / "hyps" / "deeper" / "h.jsonl"
+    code = main(["decode", "--model", str(model), "--corpus", str(corpus), "--out", str(out_path)])
+    assert code == 0
+    assert len(out_path.read_text(encoding="utf-8").splitlines()) == 2
+    assert "error" not in capsys.readouterr().err
+
+
 def test_missing_model_exits_two(tmp_path: Path, capsys) -> None:
     code = main(
         [

@@ -15,7 +15,6 @@ from tokenwise.harness import (
     BenchmarkReport,
     CorpusFormatError,
     Utterance,
-    VerifyLimits,
     generate_corpus,
     load_corpus,
     run_benchmark,
@@ -28,12 +27,12 @@ from tokenwise.metrics import corpus_wer
 from tokenwise.model import (
     ModelSpec,
     SeededModel,
+    Vocabulary,
     load_model,
     read_model_spec,
     write_model_spec,
 )
 from tokenwise.oracle import ENUM_MAX_TOKENS, exact_nbest
-from tokenwise.types import Vocabulary
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -344,8 +343,6 @@ def test_verify_rejects_oversized_instances() -> None:
         verify(model, [])
     with pytest.raises(ValueError):
         verify(model, [Utterance(uid="long", frames=7, reference=())])
-    with pytest.raises(ValueError):
-        verify(model, [Utterance(uid="empty", frames=0, reference=())])
     big = SeededModel(vocab_size=5, frames=3, seed=3)
     with pytest.raises(ValueError):
         verify(big, [Utterance(uid="a", frames=3, reference=())])
@@ -353,13 +350,16 @@ def test_verify_rejects_oversized_instances() -> None:
         verify(
             model,
             [Utterance(uid="a", frames=3, reference=())],
-            VerifyLimits(max_tokens=99),
+            max_tokens=99,
         )
+    # A zero-frame utterance is within the oracle's limits: all five properties pass.
+    summary = verify(model, [Utterance(uid="empty", frames=0, reference=())])
+    assert [result.passed for result in summary.results] == [True] * 5
 
 
 def test_verify_zero_tolerance_fails_gracefully() -> None:
     spec = read_model_spec(DATA_DIR / "tiny_model.json")
     model = load_model(spec)
     utterances = load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab)[:3]
-    summary = verify(model, utterances, VerifyLimits(tolerance=0.0))
+    summary = verify(model, utterances, tolerance=0.0)
     assert not summary.passed

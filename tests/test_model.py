@@ -14,6 +14,7 @@ from tokenwise.model import (
     SeededModel,
     TabularModel,
     TokenCapModel,
+    Vocabulary,
     load_model,
     load_model_file,
     read_model_spec,
@@ -92,15 +93,18 @@ def test_seeded_model_is_prefix_order_sensitive() -> None:
     assert np.abs(rows[0] - rows[1]).max() > 0.01
 
 
-def test_encode_without_payload_scores_identically() -> None:
+def test_join_without_seeded_tables_raises() -> None:
     model = SeededModel(vocab_size=4, frames=6, seed=17)
     encoder = model.encode(uid="payload")
     bare = EncoderOutput(frames=encoder.frames, handle=encoder.handle, uid=encoder.uid)
     assert bare.payload is None
     state = model.init_predictor()
-    with_payload = model.join(encoder, (2, 5), [state], JoinerCounters())[0]
-    without = model.join(bare, (2, 5), [state], JoinerCounters())[0]
-    assert np.array_equal(with_payload, without)
+    counters = JoinerCounters()
+    with pytest.raises(ValueError, match="no seeded tables"):
+        model.join(bare, (2, 5), [state], counters)
+    assert counters.calls == 0
+    model.join(encoder, (2, 5), [state], counters)
+    assert counters.calls == 1
 
 
 def test_encode_rejects_negative_frames() -> None:
@@ -327,3 +331,14 @@ def test_encoder_payload_ignored_by_equality() -> None:
     a = EncoderOutput(frames=3, handle=1, uid="u", payload=np.array([0, 1, 1]))
     b = EncoderOutput(frames=3, handle=1, uid="u", payload=None)
     assert a == b
+
+
+def test_vocabulary_blank_is_last_symbol() -> None:
+    vocab = Vocabulary(5)
+    assert vocab.blank_id == 5
+    assert vocab.num_symbols == 6
+
+
+def test_vocabulary_rejects_empty() -> None:
+    with pytest.raises(ValueError):
+        Vocabulary(0)

@@ -18,7 +18,16 @@ from tokenwise.decoder import (
     decode_utterance_tokenwise,
 )
 from tokenwise.logmath import LOG_ZERO
-from tokenwise.model import EncoderOutput, JoinerCounters, SeededModel, TabularModel, TokenCapModel
+from tokenwise.model import (
+    _FRAME_SALT,
+    _MASK64,
+    _SPIKE_SALT,
+    JoinerCounters,
+    SeededModel,
+    TabularModel,
+    TokenCapModel,
+    _mix64,
+)
 from tokenwise.oracle import ENUM_MAX_FRAMES, exact_marginals
 
 # Derandomized, so every run checks the same examples and a failure reproduces.
@@ -111,7 +120,22 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
     # ``frames`` may exceed the model's own length, and paths may run deeper
     # than the depth table (depths 0..frames-1), where join hashes from scratch.
     encoder = model.encode(frames, uid="tables")
-    bare = EncoderOutput(frames=encoder.frames, handle=encoder.handle, uid=encoder.uid)
+    tables = encoder.payload
+    assert len(tables.depth_keys) == len(tables.preferred) == frames
+    for depth in range(frames):
+        depth_keys, preferred = model._depth_terms(encoder.handle, np.array([depth]))
+        assert tables.depth_keys[depth] == depth_keys[0]
+        assert tables.preferred[depth] == preferred[0]
+    # The frame terms, rebuilt one frame at a time from the scalar hash.
+    demanded = 0
+    for frame in range(frames):
+        spike = _mix64(encoder.handle ^ _mix64((frame + _SPIKE_SALT) & _MASK64))
+        demanded += (spike >> 11) * 2.0**-53 < 1.0 - model.blank_prior
+        assert tables.demanded[frame] == demanded
+        frame_key = _mix64(encoder.handle ^ ((frame + _FRAME_SALT) & _MASK64))
+        assert tables.frame_keys[frame] == frame_key
+    # A call holding any state past the table scores every state from scratch,
+    # so it must match single-state calls, which read the table where they can.
     states = []
     for path in paths:
         state = model.init_predictor()
@@ -120,9 +144,10 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
         states.append(state)
     t_begin = data.draw(st.integers(0, frames - 1))
     t_end = data.draw(st.integers(t_begin + 1, frames))
-    tabled = model.join(encoder, (t_begin, t_end), states, JoinerCounters())
-    recomputed = model.join(bare, (t_begin, t_end), states, JoinerCounters())
-    assert np.array_equal(tabled, recomputed)
+    batched = model.join(encoder, (t_begin, t_end), states, JoinerCounters())
+    for row, state in zip(batched, states):
+        alone = model.join(encoder, (t_begin, t_end), [state], JoinerCounters())[0]
+        assert np.array_equal(row, alone)
 
 
 def _matches_exact_marginals(model, cap: int, segment: int) -> None:
