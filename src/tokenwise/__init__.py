@@ -12,6 +12,7 @@ from .harness import (
     BenchmarkReport,
     Utterance,
     VerificationSummary,
+    corpus_summary,
     generate_corpus,
     load_corpus,
     run_benchmark,
@@ -20,14 +21,7 @@ from .harness import (
     verify_files,
 )
 from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum
-from .metrics import (
-    EfficiencyStats,
-    ErrorCounts,
-    corpus_oracle_wer,
-    corpus_wer,
-    edit_distance,
-    efficiency_stats,
-)
+from .metrics import corpus_oracle_wer, corpus_wer, edit_distance
 from .model import (
     EncoderOutput,
     JoinerCounters,

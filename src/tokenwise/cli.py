@@ -20,14 +20,20 @@ from typing import Optional, Sequence
 from .decoder import DecodeConfig
 from .harness import (
     CorpusFormatError,
+    corpus_summary,
     decode_corpus,
     generate_corpus,
     load_corpus,
     run_benchmark,
     verify_files,
 )
-from .metrics import corpus_wer, efficiency_stats
-from .model import DEFAULT_BLANK_PRIOR, ModelFormatError, load_model_file, write_text_file
+from .model import (
+    DEFAULT_BLANK_PRIOR,
+    ModelFormatError,
+    check_output_path,
+    load_model_file,
+    write_text_file,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,9 +123,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         nbest=args.nbest,
         max_rounds_per_segment=args.max_rounds,
     )
+    if args.out is not None:
+        check_output_path(args.out)
     started = time.perf_counter()
     results, counters = decode_corpus(model, utterances, config)
-    elapsed = time.perf_counter() - started
+    summary = corpus_summary(utterances, results, counters, time.perf_counter() - started)
     lines = [
         json.dumps(
             {
@@ -136,20 +144,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     else:
         for line in lines:
             print(line)
-    summary = f"decoded {len(utterances)} utterances:"
-    if counters.frames_decoded:
-        stats = efficiency_stats(counters, elapsed)
-        summary += (
-            f" calls/frame {stats.calls_per_frame:.3f},"
-            f" joins/frame {stats.joins_per_frame:.3f},"
-            f" frames/sec {stats.frames_per_second:.0f}"
-        )
+    message = f"decoded {len(utterances)} utterances:"
+    if summary["calls_per_frame"] is None:
+        message += " 0 frames"
     else:
-        summary += " 0 frames"
-    if any(utt.reference for utt in utterances):
-        pairs = [(utt.reference, result.top) for utt, result in zip(utterances, results)]
-        summary += f", wer {corpus_wer(pairs):.4f}"
-    print(summary, file=sys.stderr)
+        message += (
+            f" calls/frame {summary['calls_per_frame']:.3f},"
+            f" joins/frame {summary['joins_per_frame']:.3f},"
+            f" frames/sec {summary['timing']['frames_per_second']:.0f}"
+        )
+    if summary["wer"] is not None:
+        message += f", wer {summary['wer']:.4f}"
+    print(message, file=sys.stderr)
     return 0
 
 
@@ -161,6 +167,8 @@ def _column(value: Optional[float], width: int, spec: str) -> str:
 def _cmd_bench(args: argparse.Namespace) -> int:
     beams = args.beam_size if args.beam_size else [1, 2]
     segments = args.segment_size if args.segment_size else [1, 2, 3, 5, 10]
+    if args.out is not None:
+        check_output_path(args.out)
     report = run_benchmark(
         model_path=args.model,
         corpus_path=args.corpus,
@@ -168,10 +176,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         segment_sizes=segments,
         nbest=args.nbest,
         repeats=args.repeats,
-        out_path=args.out,
         workers=args.workers,
         max_rounds=args.max_rounds,
     )
+    if args.out is not None:
+        report.write(args.out)
     header = f"{'cell':>8} {'wer':>8} {'ower':>8} {'calls/f':>9} {'joins/f':>9} {'frames/s':>10}"
     print(header)
     for key, cell in report.cells.items():

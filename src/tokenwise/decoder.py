@@ -28,7 +28,7 @@ search has explored, never a Viterbi maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class DecodeConfig:
     segment_size: int = 1
     nbest: int = 1
     max_rounds_per_segment: Optional[int] = None
-    mass_tolerance: float = 1e-9
+    mass_tolerance: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:

@@ -16,7 +16,7 @@ import contextlib
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -28,7 +28,7 @@ from .decoder import (
     decode_utterance_standard,
     decode_utterance_tokenwise,
 )
-from .metrics import corpus_oracle_wer, corpus_wer, efficiency_stats
+from .metrics import corpus_oracle_wer, corpus_wer
 from .model import (
     DEFAULT_BLANK_PRIOR,
     JoinerCounters,
@@ -37,6 +37,7 @@ from .model import (
     TransducerModel,
     Vocabulary,
     _mix64,
+    check_output_path,
     load_model,
     load_model_file,
     read_model_spec,
@@ -47,7 +48,6 @@ from .oracle import (
     ENUM_MAX_FRAMES,
     ENUM_MAX_VOCAB,
     ENUM_MAX_TOKENS,
-    exact_marginals,
     exact_nbest,
     exact_sequence_marginal,
 )
@@ -158,6 +158,9 @@ def generate_corpus(
     low, high = int(frames_range[0]), int(frames_range[1])
     if not (0 < low <= high):
         raise ValueError("frame range must satisfy 0 < low <= high")
+    for path in (model_path, corpus_path):
+        if path is not None:
+            check_output_path(path)
     spec = ModelSpec(
         kind="seeded",
         vocab_size=vocab_size,
@@ -272,6 +275,34 @@ def decode_corpus(
     return results, counters
 
 
+def corpus_summary(
+    utterances: Sequence[Utterance],
+    results: Sequence[NBestList],
+    counters: JoinerCounters,
+    wall_time_sec: float,
+) -> dict:
+    """Error rates, joiner cost per frame and throughput of one decoded corpus.
+
+    Per-frame rates are ``None`` when no frame was decoded, error rates when
+    the corpus has no reference tokens. Wall-clock numbers go under
+    ``timing``.
+    """
+    frames = counters.frames_decoded
+    scored = any(u.reference for u in utterances)
+    pairs = list(zip((u.reference for u in utterances), results))
+    return {
+        "wer": corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
+        "oracle_wer": corpus_oracle_wer(pairs) if scored else None,
+        "counters": asdict(counters),
+        "calls_per_frame": counters.calls / frames if frames else None,
+        "joins_per_frame": counters.frame_joins / frames if frames else None,
+        "timing": {
+            "wall_time_sec": wall_time_sec,
+            "frames_per_second": frames / wall_time_sec if frames else None,
+        },
+    }
+
+
 def run_benchmark(
     model_path: str | Path,
     corpus_path: str | Path,
@@ -279,7 +310,6 @@ def run_benchmark(
     segment_sizes: Sequence[int],
     nbest: int = 1,
     repeats: int = 1,
-    out_path: Optional[str | Path] = None,
     workers: int = 1,
     max_rounds: Optional[int] = None,
 ) -> BenchmarkReport:
@@ -289,9 +319,8 @@ def run_benchmark(
     must be present because each beam size's other cells report deltas
     against it. ``nbest`` is clamped to the cell's beam size. Wall time per
     cell is the median over ``repeats`` full passes; decode output of the
-    first pass is the one scored. Per-frame rates are ``None`` when the
-    corpus has no frames, error rates when it has no reference tokens, and
-    so are the deltas computed from them.
+    first pass is the one scored. Each cell holds :func:`corpus_summary`'s
+    numbers; a delta computed from a ``None`` rate is ``None``.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -320,7 +349,6 @@ def run_benchmark(
     utterances = load_corpus(corpus_path, model.vocab)
     if not utterances:
         raise CorpusFormatError(f"corpus {corpus_path} is empty")
-    scored = any(u.reference for u in utterances)
 
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before
@@ -349,27 +377,11 @@ def run_benchmark(
                 times.append(time.perf_counter() - started)
                 if results is None:
                     results, counters = pass_results, pass_counters
-            wall = statistics.median(times)
-            stats = efficiency_stats(counters, wall) if counters.frames_decoded else None
-            pairs = list(zip((u.reference for u in utterances), results))
             cells[BenchmarkReport.cell_key(beam, segment)] = {
                 "beam_size": beam,
                 "segment_size": segment,
                 "nbest": config.nbest,
-                "wer": corpus_wer([(ref, res.top) for ref, res in pairs]) if scored else None,
-                "oracle_wer": corpus_oracle_wer(pairs) if scored else None,
-                "counters": {
-                    "calls": counters.calls,
-                    "frame_joins": counters.frame_joins,
-                    "frames_decoded": counters.frames_decoded,
-                    "forced_finalizations": counters.forced_finalizations,
-                },
-                "calls_per_frame": stats.calls_per_frame if stats else None,
-                "joins_per_frame": stats.joins_per_frame if stats else None,
-                "timing": {
-                    "wall_time_sec": wall,
-                    "frames_per_second": stats.frames_per_second if stats else None,
-                },
+                **corpus_summary(utterances, results, counters, statistics.median(times)),
             }
 
     for cell in cells.values():
@@ -397,10 +409,7 @@ def run_benchmark(
             "max_rounds_per_segment": max_rounds,
         },
     }
-    report = BenchmarkReport(meta=meta, cells=cells)
-    if out_path is not None:
-        report.write(out_path)
-    return report
+    return BenchmarkReport(meta=meta, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -494,7 +503,6 @@ def verify(
     invariance_ok = True
     for utt in utterances:
         encoder = capped.encode(utt.frames, utt.uid)
-        exact = exact_marginals(capped, encoder, max_tokens)
         truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, max_tokens)
 
         whole = max(utt.frames, 1)
@@ -514,8 +522,8 @@ def verify(
                 exact_ok = False
                 exact_detail = f"{utt.uid!r}: ranking differs from the exact oracle"
             else:
-                for tokens, score in full.entries:
-                    exact_defect = max(exact_defect, abs(score - exact.log_prob(tokens)))
+                for (_, score), (_, marginal) in zip(full.entries, truth.entries):
+                    exact_defect = max(exact_defect, abs(score - marginal))
 
         if invariance_ok:
             reference_entries = dict(by_segment[1].entries)

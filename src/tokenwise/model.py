@@ -133,12 +133,6 @@ class JoinerCounters:
     frames_decoded: int = 0
     forced_finalizations: int = 0
 
-    def record_call(self, frames_in_call: int) -> None:
-        if frames_in_call < 1:
-            raise ValueError("a joiner call must cover at least one frame")
-        self.calls += 1
-        self.frame_joins += frames_in_call
-
     def merge(self, other: "JoinerCounters") -> None:
         self.calls += other.calls
         self.frame_joins += other.frame_joins
@@ -272,7 +266,8 @@ class TransducerModel(ABC):
         expected = (len(states), t_end - t_begin, self.vocab.num_symbols)
         if grid.shape != expected:
             raise ValueError(f"joiner returned a grid of shape {grid.shape}, expected {expected}")
-        counters.record_call(t_end - t_begin)
+        counters.calls += 1
+        counters.frame_joins += t_end - t_begin
         return grid
 
     def _check_token(self, token: int) -> int:
@@ -560,9 +555,25 @@ def read_model_spec(path: str | Path) -> ModelSpec:
     return ModelSpec.from_dict(data)
 
 
-def write_text_file(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8, creating missing parent directories first."""
+def check_output_path(path: str | Path) -> Path:
+    """Reject a path that is a directory or lies under something that is not one.
+
+    Nothing is created, so a caller can check every output before any work.
+    """
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"output path {path} is a directory")
+    parent = path.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir():
+        raise NotADirectoryError(f"output path {path} lies under {parent}, not a directory")
+    return path
+
+
+def write_text_file(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a checked path, creating missing parent directories."""
+    path = check_output_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 

@@ -307,7 +307,7 @@ def test_criterion_7_metric_cross_checks() -> None:
     for _ in range(METRIC_PAIRS):
         ref = tuple(int(v) for v in rng.integers(0, 10, size=rng.integers(0, 13)))
         hyp = tuple(int(v) for v in rng.integers(0, 10, size=rng.integers(0, 13)))
-        if edit_distance(ref, hyp).total != _recursive_distance(ref, hyp):
+        if edit_distance(ref, hyp) != _recursive_distance(ref, hyp):
             distance_errors += 1
     pairs = []
     lists = []

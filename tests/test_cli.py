@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tokenwise
-from tokenwise import harness
+from tokenwise import cli, harness
 from tokenwise.cli import main
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
@@ -274,6 +274,81 @@ def test_generate_and_decode_create_missing_output_directories(
     assert code == 0
     assert len(out_path.read_text(encoding="utf-8").splitlines()) == 2
     assert "error" not in capsys.readouterr().err
+
+
+def _forbid(monkeypatch, module, name: str) -> None:
+    """Replace ``module.name`` with a stub that fails the test if it is called."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(module, name, reached)
+
+
+def test_decode_rejects_a_bad_out_path_before_decoding(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    _forbid(monkeypatch, cli, "decode_corpus")
+    code = main(
+        [
+            "decode",
+            "--model", str(DATA_DIR / "tiny_model.json"),
+            "--corpus", str(DATA_DIR / "tiny_corpus.jsonl"),
+            "--out", str(afile / "h.jsonl"),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_bench_rejects_a_directory_out_path_before_the_sweep(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    _forbid(monkeypatch, harness, "decode_corpus")
+    code = main(
+        [
+            "bench",
+            "--model", str(DATA_DIR / "tiny_model.json"),
+            "--corpus", str(DATA_DIR / "tiny_corpus.jsonl"),
+            "--beam-size", "1",
+            "--segment-size", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output path {tmp_path} is a directory\n"
+
+
+def test_generate_rejects_a_bad_corpus_path_before_writing_the_model(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    model = tmp_path / "g" / "m.json"
+    _forbid(monkeypatch, harness, "decode_utterance_tokenwise")
+    code = main(
+        [
+            "generate",
+            "--seed", "77",
+            "--count", "2",
+            "--vocab-size", "4",
+            "--frames-min", "8",
+            "--frames-max", "12",
+            "--model", str(model),
+            "--corpus", str(afile / "c.jsonl"),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not model.parent.exists()
 
 
 def test_missing_model_exits_two(tmp_path: Path, capsys) -> None:

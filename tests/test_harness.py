@@ -265,9 +265,8 @@ def test_run_benchmark_baseline_matches_reference_decoder(tmp_path: Path) -> Non
 def test_run_benchmark_writes_report(tmp_path: Path) -> None:
     model_path, corpus_path = _tiny_bench_paths(tmp_path)
     out_path = tmp_path / "report.json"
-    report = run_benchmark(
-        model_path, corpus_path, beam_sizes=[1], segment_sizes=[1], out_path=out_path
-    )
+    report = run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1])
+    report.write(out_path)
     assert json.loads(out_path.read_text(encoding="utf-8")) == report.to_dict()
 
 

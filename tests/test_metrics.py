@@ -1,4 +1,4 @@
-"""Tests for error counting and efficiency metrics."""
+"""Tests for error rates and the per-corpus summary."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tokenwise.decoder import NBestList
-from tokenwise.metrics import ErrorCounts, corpus_oracle_wer, corpus_wer, edit_distance, efficiency_stats
+from tokenwise.harness import Utterance, corpus_summary
+from tokenwise.metrics import corpus_oracle_wer, corpus_wer, edit_distance
 from tokenwise.model import JoinerCounters
 
 
@@ -29,16 +30,11 @@ def _reference_distance(ref: tuple, hyp: tuple) -> int:
 
 
 def test_known_alignments() -> None:
-    counts = edit_distance([1, 2], [2, 1])
-    assert (counts.substitutions, counts.insertions, counts.deletions) == (2, 0, 0)
-    counts = edit_distance([1], [])
-    assert (counts.substitutions, counts.insertions, counts.deletions) == (0, 0, 1)
-    counts = edit_distance([], [1])
-    assert (counts.substitutions, counts.insertions, counts.deletions) == (0, 1, 0)
-    counts = edit_distance([1, 2, 3], [1, 3])
-    assert (counts.substitutions, counts.insertions, counts.deletions) == (0, 0, 1)
-    counts = edit_distance([5, 5, 5], [5, 5, 5])
-    assert counts.total == 0
+    assert edit_distance([1, 2], [2, 1]) == 2
+    assert edit_distance([1], []) == 1
+    assert edit_distance([], [1]) == 1
+    assert edit_distance([1, 2, 3], [1, 3]) == 1
+    assert edit_distance([5, 5, 5], [5, 5, 5]) == 0
 
 
 def test_total_matches_independent_recursion() -> None:
@@ -46,23 +42,13 @@ def test_total_matches_independent_recursion() -> None:
     for _ in range(300):
         ref = tuple(int(v) for v in rng.integers(0, 5, size=rng.integers(0, 9)))
         hyp = tuple(int(v) for v in rng.integers(0, 5, size=rng.integers(0, 9)))
-        counts = edit_distance(ref, hyp)
-        assert counts.total == _reference_distance(ref, hyp)
-        assert counts.reference_length == len(ref)
-        assert counts.insertions - counts.deletions == len(hyp) - len(ref)
+        distance = edit_distance(ref, hyp)
+        assert type(distance) is int
+        assert distance == _reference_distance(ref, hyp)
 
 
 def test_counts_are_symmetric_in_total_only() -> None:
-    counts = edit_distance([1, 2, 3], [3, 2])
-    flipped = edit_distance([3, 2], [1, 2, 3])
-    assert counts.total == flipped.total
-    assert counts.insertions == flipped.deletions
-    assert counts.deletions == flipped.insertions
-
-
-def test_error_counts_total() -> None:
-    counts = ErrorCounts(substitutions=2, insertions=1, deletions=3, reference_length=10)
-    assert counts.total == 6
+    assert edit_distance([1, 2, 3], [3, 2]) == edit_distance([3, 2], [1, 2, 3]) == 2
 
 
 def test_corpus_wer_pools_over_utterances() -> None:
@@ -129,18 +115,20 @@ def test_oracle_wer_rejects_empty_nbest() -> None:
 
 def test_efficiency_stats_division() -> None:
     counters = JoinerCounters(calls=50, frame_joins=200, frames_decoded=100, forced_finalizations=0)
-    stats = efficiency_stats(counters, wall_time_sec=2.0)
-    assert stats.calls_per_frame == pytest.approx(0.5)
-    assert stats.joins_per_frame == pytest.approx(2.0)
-    assert stats.frames_per_second == pytest.approx(50.0)
+    utterances = [Utterance("a", 100, (1, 2))]
+    summary = corpus_summary(utterances, [NBestList((((1,), -0.1),))], counters, wall_time_sec=2.0)
+    assert summary["calls_per_frame"] == pytest.approx(0.5)
+    assert summary["joins_per_frame"] == pytest.approx(2.0)
+    assert summary["timing"] == {"wall_time_sec": 2.0, "frames_per_second": pytest.approx(50.0)}
+    assert summary["wer"] == summary["oracle_wer"] == pytest.approx(0.5)
+    assert summary["counters"] == vars(counters)
 
 
 def test_efficiency_stats_validation() -> None:
     counters = JoinerCounters(calls=1, frame_joins=1, frames_decoded=0, forced_finalizations=0)
-    with pytest.raises(ValueError):
-        efficiency_stats(counters, wall_time_sec=1.0)
-    ok = JoinerCounters(calls=1, frame_joins=1, frames_decoded=5, forced_finalizations=0)
-    with pytest.raises(ValueError):
-        efficiency_stats(ok, wall_time_sec=0.0)
-    with pytest.raises(ValueError):
-        efficiency_stats(ok, wall_time_sec=-1.0)
+    utterances = [Utterance("a", 0, ())]
+    summary = corpus_summary(utterances, [NBestList((((), 0.0),))], counters, wall_time_sec=1.0)
+    assert summary["calls_per_frame"] is None
+    assert summary["joins_per_frame"] is None
+    assert summary["timing"]["frames_per_second"] is None
+    assert summary["wer"] is None and summary["oracle_wer"] is None

@@ -173,11 +173,6 @@ def test_join_rejects_a_grid_of_the_wrong_shape(cut) -> None:
     assert counters.calls == 0
 
 
-def test_counters_record_call_rejects_empty_range() -> None:
-    with pytest.raises(ValueError):
-        JoinerCounters().record_call(0)
-
-
 def test_counters_merge_adds_fields() -> None:
     a = JoinerCounters(calls=2, frame_joins=10, frames_decoded=5, forced_finalizations=1)
     b = JoinerCounters(calls=1, frame_joins=3, frames_decoded=2, forced_finalizations=0)
