@@ -11,7 +11,6 @@ from .decoder import (
 from .harness import (
     BenchmarkReport,
     Utterance,
-    VerificationSummary,
     corpus_summary,
     generate_corpus,
     load_corpus,

@@ -420,13 +420,28 @@ class PropertyResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
-    results: tuple[PropertyResult, ...]
+def _compare_entries(
+    name: str,
+    pairs: Iterable[tuple[Sequence, Sequence, str]],
+    summary: str,
+    tolerance: float,
+) -> PropertyResult:
+    """Fold ``(got_entries, want_entries, failure_detail)`` triples into one property.
 
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for result in self.results)
+    Each pair must list the same sequences in the same order; the defect is
+    the largest score gap. The first pair that differs ends the fold and
+    fails the property with its detail and the gap so far. Otherwise the
+    detail is ``summary`` formatted with ``gap`` and the number of ``pairs``.
+    """
+    gap = 0.0
+    count = 0
+    for got, want, detail in pairs:
+        if [tokens for tokens, _ in got] != [tokens for tokens, _ in want]:
+            return PropertyResult(name, False, gap, detail)
+        count += 1
+        for (_, got_score), (_, want_score) in zip(got, want):
+            gap = max(gap, abs(got_score - want_score))
+    return PropertyResult(name, gap <= tolerance, gap, summary.format(gap=gap, pairs=count))
 
 
 def verify(
@@ -435,18 +450,19 @@ def verify(
     *,
     tolerance: float = 1e-9,
     max_tokens: int = 4,
-) -> VerificationSummary:
+) -> tuple[PropertyResult, ...]:
     """Check the decoding invariants end to end on a tiny corpus.
 
     Instances must be small enough for the exact oracle (it re-derives
     every marginal by brute force); zero-frame utterances are allowed.
-    The checks: the segment decoder at segment size one matches the
-    frame-synchronous reference decoder; every expansion round conserves
-    probability mass; with a token cap of ``max_tokens`` and an unbounded
-    beam the decoder reproduces the exact marginals and their ranking; final
-    scores do not depend on the segment size; and no beam score ever
-    exceeds its sequence's true marginal. Each passes when its largest
-    defect is at most ``tolerance``.
+    Returns five results, in this order: the segment decoder at segment size
+    one matches the frame-synchronous reference decoder (s1-equivalence);
+    with a token cap of ``max_tokens`` and an unbounded beam it reproduces
+    the exact marginals and their ranking (oracle-exactness); final scores
+    do not depend on the segment size (segment-invariance); no beam score
+    ever exceeds its sequence's true marginal (score-upper-bound); and every
+    expansion round conserves probability mass (mass-conservation). Each
+    passes when its largest defect is at most ``tolerance``.
     """
     if not utterances:
         raise ValueError("verification needs at least one utterance")
@@ -463,97 +479,48 @@ def verify(
     if not tolerance >= 0.0:
         raise ValueError("tolerance must be a non-negative number")
 
-    results: list[PropertyResult] = []
     trace = DecodeTrace()
 
-    mismatch = ""
-    score_gap = 0.0
-    pairs_checked = 0
-    for utt in utterances:
-        encoder = model.encode(utt.frames, utt.uid)
-        for beam in VERIFY_BEAM_SIZES:
-            config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
-            reference, _ = decode_utterance_standard(model, encoder, config, trace=trace)
-            segmented, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
-            pairs_checked += 1
-            if reference.sequences() != segmented.sequences():
-                mismatch = f"{utt.uid!r} at beam {beam}: sequence lists differ"
-                break
-            gaps = [
-                abs(a[1] - b[1]) for a, b in zip(reference.entries, segmented.entries)
-            ]
-            score_gap = max(score_gap, max(gaps, default=0.0))
-        if mismatch:
-            break
-    results.append(
-        PropertyResult(
-            "s1-equivalence",
-            not mismatch and score_gap <= tolerance,
-            score_gap,
-            mismatch or f"max |score gap| {score_gap:.3e} over {pairs_checked} decode pairs",
-        )
-    )
+    def s1_pairs():
+        # Lazy, so decoding stops at the first mismatch.
+        for utt in utterances:
+            encoder = model.encode(utt.frames, utt.uid)
+            for beam in VERIFY_BEAM_SIZES:
+                config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
+                reference, _ = decode_utterance_standard(model, encoder, config, trace=trace)
+                segmented, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
+                detail = f"{utt.uid!r} at beam {beam}: sequence lists differ"
+                yield segmented.entries, reference.entries, detail
+
+    s1_summary = "max |score gap| {gap:.3e} over {pairs} decode pairs"
+    s1 = _compare_entries("s1-equivalence", s1_pairs(), s1_summary, tolerance)
 
     capped = TokenCapModel(model, max_tokens)
-    exact_defect = 0.0
-    exact_detail = ""
-    exact_ok = True
-    invariance_defect = 0.0
-    invariance_detail = ""
-    invariance_ok = True
+    exact_pairs = []
+    invariance_pairs = []
     for utt in utterances:
         encoder = capped.encode(utt.frames, utt.uid)
         truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, max_tokens)
-
         whole = max(utt.frames, 1)
-        by_segment: dict[int, NBestList] = {}
+        by_segment = {}
         for segment in sorted({1, 2, 3, whole}):
             config = DecodeConfig(
                 beam_size=UNBOUNDED_BEAM, segment_size=segment, nbest=UNBOUNDED_BEAM
             )
-            decoded, _ = decode_utterance_tokenwise(
-                capped, encoder, config, trace=trace
-            )
-            by_segment[segment] = decoded
-
-        full = by_segment[whole]
-        if exact_ok:
-            if full.sequences() != truth.sequences():
-                exact_ok = False
-                exact_detail = f"{utt.uid!r}: ranking differs from the exact oracle"
-            else:
-                for (_, score), (_, marginal) in zip(full.entries, truth.entries):
-                    exact_defect = max(exact_defect, abs(score - marginal))
-
-        if invariance_ok:
-            reference_entries = dict(by_segment[1].entries)
-            for segment, decoded in by_segment.items():
-                entries = dict(decoded.entries)
-                if set(entries) != set(reference_entries):
-                    invariance_ok = False
-                    invariance_detail = (
-                        f"{utt.uid!r}: segment size {segment} changes the sequence set"
-                    )
-                    break
-                for tokens, score in entries.items():
-                    invariance_defect = max(
-                        invariance_defect, abs(score - reference_entries[tokens])
-                    )
-    results.append(
-        PropertyResult(
-            "oracle-exactness",
-            exact_ok and exact_defect <= tolerance,
-            exact_defect,
-            exact_detail or f"max |marginal gap| {exact_defect:.3e}",
-        )
+            decoded, _ = decode_utterance_tokenwise(capped, encoder, config, trace=trace)
+            by_segment[segment] = decoded.entries
+        detail = f"{utt.uid!r}: ranking differs from the exact oracle"
+        exact_pairs.append((by_segment[whole], truth.entries, detail))
+        # Sorted by tokens, so equal sequence sets compare as equal lists.
+        reference = sorted(by_segment[1])
+        for segment, entries in by_segment.items():
+            detail = f"{utt.uid!r}: segment size {segment} changes the sequence set"
+            invariance_pairs.append((sorted(entries), reference, detail))
+    exactness = _compare_entries(
+        "oracle-exactness", exact_pairs, "max |marginal gap| {gap:.3e}", tolerance
     )
-    results.append(
-        PropertyResult(
-            "segment-invariance",
-            invariance_ok and invariance_defect <= tolerance,
-            invariance_defect,
-            invariance_detail or f"max |score gap| {invariance_defect:.3e}",
-        )
+    invariance = _compare_entries(
+        "segment-invariance", invariance_pairs, "max |score gap| {gap:.3e}", tolerance
     )
 
     bound_defect = 0.0
@@ -566,24 +533,20 @@ def verify(
                 for tokens, score in decoded.entries:
                     marginal = exact_sequence_marginal(model, encoder, tokens)
                     bound_defect = max(bound_defect, score - marginal)
-    results.append(
-        PropertyResult(
-            "score-upper-bound",
-            bound_defect <= tolerance,
-            max(bound_defect, 0.0),
-            f"max score excess over true marginal {max(bound_defect, 0.0):.3e}",
-        )
+    bound = PropertyResult(
+        "score-upper-bound",
+        bound_defect <= tolerance,
+        bound_defect,
+        f"max score excess over true marginal {bound_defect:.3e}",
     )
 
-    results.append(
-        PropertyResult(
-            "mass-conservation",
-            trace.max_mass_defect <= tolerance,
-            trace.max_mass_defect,
-            f"max defect {trace.max_mass_defect:.3e} over {trace.mass_checks} checks",
-        )
+    mass = PropertyResult(
+        "mass-conservation",
+        trace.max_mass_defect <= tolerance,
+        trace.max_mass_defect,
+        f"max defect {trace.max_mass_defect:.3e} over {trace.mass_checks} checks",
     )
-    return VerificationSummary(tuple(results))
+    return (s1, exactness, invariance, bound, mass)
 
 
 def verify_files(
@@ -592,7 +555,7 @@ def verify_files(
     *,
     tolerance: float = 1e-9,
     max_tokens: int = 4,
-) -> VerificationSummary:
+) -> tuple[PropertyResult, ...]:
     model = load_model_file(model_path)
     utterances = load_corpus(corpus_path, model.vocab)
     return verify(model, utterances, tolerance=tolerance, max_tokens=max_tokens)

@@ -343,7 +343,9 @@ class SeededModel(TransducerModel):
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
         self._lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
         self._token_ids = np.arange(vocab_size)
-        self._indices = _index_hashes(self.frames)
+        # Grown by ``_tables`` to the longest utterance encoded, never to the
+        # spec's ``frames``, so loading costs no memory per frame.
+        self._indices = _index_hashes(0)
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)

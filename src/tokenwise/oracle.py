@@ -37,10 +37,6 @@ class ExactMarginals:
 
     marginals: dict
     excluded_log_mass: float
-    max_tokens: int
-
-    def log_prob(self, tokens: tuple[int, ...]) -> float:
-        return self.marginals.get(tuple(tokens), LOG_ZERO)
 
 
 class _RowCache:
@@ -61,7 +57,12 @@ class _RowCache:
             self._states[prefix] = got
         return got
 
-    def rows(self, prefix: tuple[int, ...]) -> np.ndarray:
+    def rows(self, prefix: tuple[int, ...]) -> list[list[float]]:
+        """The prefix's joiner rows as lists of Python floats, ``[frame][symbol]``.
+
+        The walks read one value at a time, which is cheaper from a list than
+        from an array; the values are the same doubles.
+        """
         got = self._rows.get(prefix)
         if got is None:
             got = self._model.join(
@@ -69,7 +70,7 @@ class _RowCache:
                 (0, self._encoder.frames),
                 [self.state(prefix)],
                 self._scratch,
-            )[0]
+            )[0].tolist()
             self._rows[prefix] = got
         return got
 
@@ -106,14 +107,14 @@ def exact_marginals(
     def walk(frame: int, prefix: tuple[int, ...], log_prob: float) -> None:
         nonlocal excluded
         rows = cache.rows(prefix)
-        blank_score = log_prob + rows[frame, vocab_size]
+        blank_score = log_prob + rows[frame][vocab_size]
         if blank_score > LOG_ZERO:
             if frame + 1 == frames:
                 marginals[prefix] = log_add(marginals.get(prefix, LOG_ZERO), blank_score)
             else:
                 walk(frame + 1, prefix, blank_score)
         for token in range(vocab_size):
-            emit_score = log_prob + rows[frame, token]
+            emit_score = log_prob + rows[frame][token]
             if emit_score == LOG_ZERO:
                 continue
             if len(prefix) >= max_tokens:
@@ -125,7 +126,7 @@ def exact_marginals(
         marginals[()] = LOG_ONE
     else:
         walk(0, (), LOG_ONE)
-    return ExactMarginals(marginals, excluded, max_tokens)
+    return ExactMarginals(marginals, excluded)
 
 
 def exact_sequence_marginal(
@@ -153,11 +154,11 @@ def exact_sequence_marginal(
         for u in range(count + 1):
             total = grid[t, u]
             if u >= 1:
-                total = log_add(total, grid[t, u - 1] + prefix_rows[u - 1][t, tokens[u - 1]])
+                total = log_add(total, grid[t, u - 1] + prefix_rows[u - 1][t][tokens[u - 1]])
             if t >= 1:
-                total = log_add(total, grid[t - 1, u] + prefix_rows[u][t - 1, blank])
+                total = log_add(total, grid[t - 1, u] + prefix_rows[u][t - 1][blank])
             grid[t, u] = total
-    return float(grid[frames - 1, count] + prefix_rows[count][frames - 1, blank])
+    return float(grid[frames - 1, count] + prefix_rows[count][frames - 1][blank])
 
 
 def exact_nbest(

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenwise.decoder import DecodeConfig, decode_utterance_standard
+from tokenwise import harness
+from tokenwise.decoder import DecodeConfig, NBestList, decode_utterance_standard
 from tokenwise.harness import (
     BenchmarkReport,
     CorpusFormatError,
@@ -27,6 +28,7 @@ from tokenwise.metrics import corpus_wer
 from tokenwise.model import (
     ModelSpec,
     SeededModel,
+    TokenCapModel,
     Vocabulary,
     load_model,
     read_model_spec,
@@ -328,11 +330,11 @@ def test_blank_certain_benchmark_has_exact_call_count(tmp_path: Path) -> None:
 
 
 def test_verify_passes_on_bundled_tiny_corpus() -> None:
-    summary = verify_files(DATA_DIR / "tiny_model.json", DATA_DIR / "tiny_corpus.jsonl")
-    assert summary.passed
-    names = [result.name for result in summary.results]
+    results = verify_files(DATA_DIR / "tiny_model.json", DATA_DIR / "tiny_corpus.jsonl")
+    assert all(result.passed for result in results)
+    names = [result.name for result in results]
     assert len(names) == len(set(names)) == 5
-    for result in summary.results:
+    for result in results:
         assert result.max_defect < 1e-9
 
 
@@ -352,13 +354,136 @@ def test_verify_rejects_oversized_instances() -> None:
             max_tokens=99,
         )
     # A zero-frame utterance is within the oracle's limits: all five properties pass.
-    summary = verify(model, [Utterance(uid="empty", frames=0, reference=())])
-    assert [result.passed for result in summary.results] == [True] * 5
+    results = verify(model, [Utterance(uid="empty", frames=0, reference=())])
+    assert [result.passed for result in results] == [True] * 5
 
 
 def test_verify_zero_tolerance_fails_gracefully() -> None:
     spec = read_model_spec(DATA_DIR / "tiny_model.json")
     model = load_model(spec)
     utterances = load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab)[:3]
-    summary = verify(model, utterances, tolerance=0.0)
-    assert not summary.passed
+    results = verify(model, utterances, tolerance=0.0)
+    assert not all(result.passed for result in results)
+
+
+def _swap_top_two(result: NBestList) -> NBestList:
+    entries = result.entries
+    return result if len(entries) < 2 else NBestList((entries[1], entries[0]) + entries[2:])
+
+
+def _fault_in_standard_decoder(monkeypatch) -> None:
+    real = harness.decode_utterance_standard
+
+    def swapped(model, encoder, *args, **kwargs):
+        result, counters = real(model, encoder, *args, **kwargs)
+        return (_swap_top_two(result) if encoder.uid == "utt-0002" else result), counters
+
+    monkeypatch.setattr(harness, "decode_utterance_standard", swapped)
+
+
+def _fault_in_oracle_ranking(monkeypatch) -> None:
+    real = harness.exact_nbest
+
+    def swapped(model, encoder, *args, **kwargs):
+        result = real(model, encoder, *args, **kwargs)
+        return _swap_top_two(result) if encoder.uid == "utt-0002" else result
+
+    monkeypatch.setattr(harness, "exact_nbest", swapped)
+
+
+def _fault_at_segment_two(monkeypatch) -> None:
+    real = harness.decode_utterance_tokenwise
+
+    def dropped(model, encoder, config, *args, **kwargs):
+        result, counters = real(model, encoder, config, *args, **kwargs)
+        if (
+            isinstance(model, TokenCapModel)
+            and config.segment_size == 2
+            and encoder.uid == "utt-0002"
+        ):
+            result = NBestList(result.entries[:-1])
+        return result, counters
+
+    monkeypatch.setattr(harness, "decode_utterance_tokenwise", dropped)
+
+
+_S1_PASS = (True, "s1-equivalence", 0.0, "max |score gap| 0.000e+00 over 36 decode pairs")
+_EXACT_PASS = (True, "oracle-exactness", 2.842170943040401e-14, "max |marginal gap| 2.842e-14")
+_INVARIANCE_PASS = (
+    True,
+    "segment-invariance",
+    1.4210854715202004e-14,
+    "max |score gap| 1.421e-14",
+)
+_BOUND_PASS = (
+    True,
+    "score-upper-bound",
+    4.440892098500626e-16,
+    "max score excess over true marginal 4.441e-16",
+)
+
+
+def _mass_pass(checks: int) -> tuple:
+    return (
+        True,
+        "mass-conservation",
+        5.503490066159161e-16,
+        f"max defect 5.503e-16 over {checks} checks",
+    )
+
+
+# Each fault breaks one comparison property at utt-0002, the third tiny
+# utterance. The failing property reports the largest gap over the pairs
+# before it; the others are untouched. A failed s1 pass stops decoding, so
+# fewer mass checks run.
+@pytest.mark.parametrize(
+    "inject, expected",
+    [
+        (
+            _fault_in_standard_decoder,
+            [
+                (False, "s1-equivalence", 0.0, "'utt-0002' at beam 2: sequence lists differ"),
+                _EXACT_PASS,
+                _INVARIANCE_PASS,
+                _BOUND_PASS,
+                _mass_pass(51732),
+            ],
+        ),
+        (
+            _fault_in_oracle_ranking,
+            [
+                _S1_PASS,
+                (
+                    False,
+                    "oracle-exactness",
+                    1.7763568394002505e-14,
+                    "'utt-0002': ranking differs from the exact oracle",
+                ),
+                _INVARIANCE_PASS,
+                _BOUND_PASS,
+                _mass_pass(53160),
+            ],
+        ),
+        (
+            _fault_at_segment_two,
+            [
+                _S1_PASS,
+                _EXACT_PASS,
+                (
+                    False,
+                    "segment-invariance",
+                    1.0658141036401503e-14,
+                    "'utt-0002': segment size 2 changes the sequence set",
+                ),
+                _BOUND_PASS,
+                _mass_pass(53160),
+            ],
+        ),
+    ],
+    ids=["standard-nbest-swapped", "oracle-ranking-swapped", "entry-dropped-at-s2"],
+)
+def test_verify_reports_each_injected_fault(monkeypatch, inject, expected) -> None:
+    inject(monkeypatch)
+    results = verify_files(DATA_DIR / "tiny_model.json", DATA_DIR / "tiny_corpus.jsonl")
+    got = [(r.passed, r.name, r.max_defect, r.detail) for r in results]
+    assert got == expected

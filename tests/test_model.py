@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
 from tokenwise.logmath import LOG_ZERO, log_sum_array
 from tokenwise.model import (
     EncoderOutput,
@@ -105,6 +108,23 @@ def test_join_without_seeded_tables_raises() -> None:
     assert counters.calls == 0
     model.join(encoder, (2, 5), [state], counters)
     assert counters.calls == 1
+
+
+def test_loading_a_seeded_model_does_not_scale_with_its_frames() -> None:
+    spec = ModelSpec(kind="seeded", vocab_size=3, frames=10**6, seed=99)
+    tracemalloc.start()
+    try:
+        model = load_model(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    small = load_model(ModelSpec(kind="seeded", vocab_size=3, frames=3, seed=99))
+    config = DecodeConfig(beam_size=4, segment_size=2, nbest=4)
+    for uid in ("golden", "other"):
+        got, _ = decode_utterance_tokenwise(model, model.encode(3, uid), config)
+        want, _ = decode_utterance_tokenwise(small, small.encode(3, uid), config)
+        assert got == want
 
 
 def test_encode_rejects_negative_frames() -> None:
