@@ -40,7 +40,7 @@ from .oracle import (
     ExactMarginals,
     exact_marginals,
     exact_nbest,
-    exact_sequence_marginal,
+    exact_sequence_marginals,
 )
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ from .oracle import (
     ENUM_MAX_VOCAB,
     ENUM_MAX_TOKENS,
     exact_nbest,
-    exact_sequence_marginal,
+    exact_sequence_marginals,
 )
 
 if TYPE_CHECKING:
@@ -454,7 +454,7 @@ def verify(
     """Check the decoding invariants end to end on a tiny corpus.
 
     Instances must be small enough for the exact oracle (it re-derives
-    every marginal by brute force); zero-frame utterances are allowed.
+    every marginal by the forward DP); zero-frame utterances are allowed.
     Returns five results, in this order: the segment decoder at segment size
     one matches the frame-synchronous reference decoder (s1-equivalence);
     with a token cap of ``max_tokens`` and an unbounded beam it reproduces
@@ -526,13 +526,15 @@ def verify(
     bound_defect = 0.0
     for utt in utterances:
         encoder = model.encode(utt.frames, utt.uid)
+        entries = []
         for beam in VERIFY_BEAM_SIZES:
             for segment in (1, 3):
                 config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
                 decoded, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
-                for tokens, score in decoded.entries:
-                    marginal = exact_sequence_marginal(model, encoder, tokens)
-                    bound_defect = max(bound_defect, score - marginal)
+                entries += decoded.entries
+        marginals = exact_sequence_marginals(model, encoder, [tokens for tokens, _ in entries])
+        for (_, score), marginal in zip(entries, marginals):
+            bound_defect = max(bound_defect, score - marginal)
     bound = PropertyResult(
         "score-upper-bound",
         bound_defect <= tolerance,

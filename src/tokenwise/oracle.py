@@ -1,25 +1,23 @@
 """Exact references that the decoders are checked against.
 
-``exact_marginals`` enumerates every alignment path of a tiny instance and
-``exact_nbest`` ranks its sequences like the decoders do. For one given
-sequence, ``exact_sequence_marginal`` runs a forward dynamic program over
-the (frame, emitted-token-count) grid, which stretches to bench-length
-utterances (up to ``DP_MAX_FRAMES``).
-
 An alignment path interleaves token emissions (which keep the frame fixed)
 with blank emissions (which advance the frame); it completes when the blank
 of the last frame is emitted. The marginal probability of a token sequence
-is the sum over all of its alignment paths. Sequence lengths are capped
-so the path set is finite; every path cut off at the cap is accounted for
-in ``excluded_log_mass`` rather than dropped, so the total mass over
-complete and excluded paths is exactly one.
+is the sum over all of its alignment paths. One forward dynamic program
+over the prefix trie of an utterance sums them: a prefix's column holds the
+mass of the paths that stand at each frame having emitted exactly that
+prefix, and each prefix is joined and folded once. ``exact_marginals``
+expands every prefix up to a token cap on a tiny instance, so the path set
+is finite; every emission out of a prefix at the cap is accounted for in
+``excluded_log_mass`` rather than dropped, so the total mass over complete
+and excluded paths is exactly one. ``exact_nbest`` ranks its sequences like
+the decoders do. ``exact_sequence_marginals`` gives the marginals of given
+sequences, up to ``DP_MAX_FRAMES`` frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
@@ -60,8 +58,8 @@ class _RowCache:
     def rows(self, prefix: tuple[int, ...]) -> list[list[float]]:
         """The prefix's joiner rows as lists of Python floats, ``[frame][symbol]``.
 
-        The walks read one value at a time, which is cheaper from a list than
-        from an array; the values are the same doubles.
+        The column folds read one value at a time, which is cheaper from a
+        list than from an array; the values are the same doubles.
         """
         got = self._rows.get(prefix)
         if got is None:
@@ -75,13 +73,20 @@ class _RowCache:
         return got
 
 
-def _check_enum_limits(model: TransducerModel, encoder: EncoderOutput, max_tokens: int) -> None:
-    if encoder.frames > ENUM_MAX_FRAMES:
-        raise ValueError(f"enumeration handles at most {ENUM_MAX_FRAMES} frames")
-    if model.vocab.size > ENUM_MAX_VOCAB:
-        raise ValueError(f"enumeration handles vocabularies up to {ENUM_MAX_VOCAB}")
-    if not (0 <= max_tokens <= ENUM_MAX_TOKENS):
-        raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
+def _column(entering: list[float], rows: list[list[float]], blank: int) -> list[float]:
+    """A prefix's column: ``log_add(entering[t], column[t-1] + blank[t-1])``.
+
+    ``entering[t]`` is the parent's column at frame t plus the emission of
+    the prefix's last token. The extra last entry is the prefix's marginal.
+    """
+    column = []
+    carried = LOG_ZERO
+    for mass, row in zip(entering, rows):
+        carried = log_add(mass, carried)
+        column.append(carried)
+        carried += row[blank]
+    column.append(carried)
+    return column
 
 
 def exact_marginals(
@@ -89,76 +94,65 @@ def exact_marginals(
 ) -> ExactMarginals:
     """Alignment-sum marginal of every sequence of at most ``max_tokens``.
 
-    One depth-first walk over the alignment paths: at each node the blank
-    branch is taken before the tokens in id order. Each complete path's mass
-    is log-added into its sequence's marginal; an emission that would push a
-    sequence past the cap log-adds its mass, which covers every continuation,
-    into ``excluded_log_mass``. Zero-probability branches are not entered, so
-    their sequences stay at marginal zero. Only tiny instances are accepted;
-    the walk is exponential by design.
+    Expands the prefix trie breadth first, children in token-id order. A
+    child no mass enters is not expanded, and only marginals above zero are
+    stored. Every emission out of a prefix at the cap log-adds into
+    ``excluded_log_mass``. Only tiny instances are accepted.
     """
-    _check_enum_limits(model, encoder, max_tokens)
-    frames = encoder.frames
-    vocab_size = model.vocab.size
+    if encoder.frames > ENUM_MAX_FRAMES:
+        raise ValueError(f"enumeration handles at most {ENUM_MAX_FRAMES} frames")
+    if model.vocab.size > ENUM_MAX_VOCAB:
+        raise ValueError(f"enumeration handles vocabularies up to {ENUM_MAX_VOCAB}")
+    if not (0 <= max_tokens <= ENUM_MAX_TOKENS):
+        raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
+    if encoder.frames == 0:
+        return ExactMarginals({(): LOG_ONE}, LOG_ZERO)
     cache = _RowCache(model, encoder)
+    blank = model.vocab.blank_id
     marginals: dict = {}
     excluded = LOG_ZERO
-
-    def walk(frame: int, prefix: tuple[int, ...], log_prob: float) -> None:
-        nonlocal excluded
+    start = [LOG_ONE] + [LOG_ZERO] * (encoder.frames - 1)
+    nodes = [((), _column(start, cache.rows(()), blank))]
+    for prefix, column in nodes:  # grows as children are appended
+        if column[-1] > LOG_ZERO:
+            marginals[prefix] = column[-1]
         rows = cache.rows(prefix)
-        blank_score = log_prob + rows[frame][vocab_size]
-        if blank_score > LOG_ZERO:
-            if frame + 1 == frames:
-                marginals[prefix] = log_add(marginals.get(prefix, LOG_ZERO), blank_score)
-            else:
-                walk(frame + 1, prefix, blank_score)
-        for token in range(vocab_size):
-            emit_score = log_prob + rows[frame][token]
-            if emit_score == LOG_ZERO:
-                continue
-            if len(prefix) >= max_tokens:
-                excluded = log_add(excluded, emit_score)
-            else:
-                walk(frame, prefix + (token,), emit_score)
-
-    if frames == 0:
-        marginals[()] = LOG_ONE
-    else:
-        walk(0, (), LOG_ONE)
+        for token in range(model.vocab.size):
+            entering = [mass + row[token] for mass, row in zip(column, rows)]
+            if len(prefix) == max_tokens:
+                for mass in entering:
+                    excluded = log_add(excluded, mass)
+            elif max(entering) > LOG_ZERO:
+                child = prefix + (token,)
+                nodes.append((child, _column(entering, cache.rows(child), blank)))
     return ExactMarginals(marginals, excluded)
 
 
-def exact_sequence_marginal(
-    model: TransducerModel, encoder: EncoderOutput, tokens: tuple[int, ...]
-) -> float:
-    """Alignment-sum marginal of one sequence via the forward DP.
+def exact_sequence_marginals(
+    model: TransducerModel, encoder: EncoderOutput, sequences: list[tuple[int, ...]]
+) -> list[float]:
+    """Alignment-sum marginal of each of ``sequences``, in order.
 
-    Grid cell (t, u) accumulates the mass of path prefixes that stand at
-    frame t having emitted the first u tokens; a cell is fed by emitting
-    token u at frame t or by the blank of frame t-1.
+    Every prefix of the sequences is joined and folded once, so sequences
+    that share a prefix share its work.
     """
     if encoder.frames > DP_MAX_FRAMES:
         raise ValueError(f"forward DP handles at most {DP_MAX_FRAMES} frames")
-    tokens = tuple(int(k) for k in tokens)
-    frames = encoder.frames
-    count = len(tokens)
-    if frames == 0:
-        return LOG_ONE if count == 0 else LOG_ZERO
+    sequences = [tuple(int(k) for k in tokens) for tokens in sequences]
+    if encoder.frames == 0:
+        return [LOG_ONE if not tokens else LOG_ZERO for tokens in sequences]
     cache = _RowCache(model, encoder)
-    prefix_rows = [cache.rows(tokens[:u]) for u in range(count + 1)]
     blank = model.vocab.blank_id
-    grid = np.full((frames, count + 1), LOG_ZERO)
-    grid[0, 0] = LOG_ONE
-    for t in range(frames):
-        for u in range(count + 1):
-            total = grid[t, u]
-            if u >= 1:
-                total = log_add(total, grid[t, u - 1] + prefix_rows[u - 1][t][tokens[u - 1]])
-            if t >= 1:
-                total = log_add(total, grid[t - 1, u] + prefix_rows[u][t - 1][blank])
-            grid[t, u] = total
-    return float(grid[frames - 1, count] + prefix_rows[count][frames - 1][blank])
+    start = [LOG_ONE] + [LOG_ZERO] * (encoder.frames - 1)
+    columns = {(): _column(start, cache.rows(()), blank)}
+    for tokens in sequences:
+        for u in range(1, len(tokens) + 1):
+            if tokens[:u] not in columns:
+                parent = columns[tokens[: u - 1]]
+                rows = cache.rows(tokens[: u - 1])
+                entering = [mass + row[tokens[u - 1]] for mass, row in zip(parent, rows)]
+                columns[tokens[:u]] = _column(entering, cache.rows(tokens[:u]), blank)
+    return [columns[tokens][-1] for tokens in sequences]
 
 
 def exact_nbest(

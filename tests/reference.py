@@ -1,24 +1,18 @@
-"""Independent references that the oracle's own enumeration is checked against.
+"""Independent reference that the oracle's forward DP is checked against.
 
 ``enumerate_alignment_paths`` lists every complete alignment path with the
-tokens it emits at each frame, and ``exact_marginals_dp`` sweeps the forward
-DP over every sequence up to a cap. Neither shares a walk with
-``tokenwise.oracle.exact_marginals``.
+tokens it emits at each frame, with its own joiner rows, and
+``path_marginals`` log-sums the paths of each sequence. Neither shares code
+with the column fold of ``tokenwise.oracle``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_add, log_sum
 from tokenwise.model import EncoderOutput, JoinerCounters, TransducerModel
-from tokenwise.oracle import (
-    ENUM_MAX_TOKENS,
-    ENUM_MAX_VOCAB,
-    ExactMarginals,
-    exact_sequence_marginal,
-)
+from tokenwise.oracle import ExactMarginals
 
 
 @dataclass(frozen=True)
@@ -72,21 +66,12 @@ def enumerate_alignment_paths(
     return paths
 
 
-def exact_marginals_dp(
-    model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> dict:
-    """Marginals of every sequence up to the cap, via the forward DP route."""
-    if model.vocab.size > ENUM_MAX_VOCAB:
-        raise ValueError(f"full DP sweep handles vocabularies up to {ENUM_MAX_VOCAB}")
-    if max_tokens > ENUM_MAX_TOKENS:
-        raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
-    out: dict = {}
-    for length in range(max_tokens + 1):
-        for tokens in itertools.product(range(model.vocab.size), repeat=length):
-            marginal = exact_sequence_marginal(model, encoder, tokens)
-            if marginal > LOG_ZERO or length == 0:
-                out[tokens] = marginal
-    return out
+def path_marginals(model: TransducerModel, encoder: EncoderOutput, max_tokens: int) -> dict:
+    """Marginal of every sequence with a complete path: its paths' masses, log-summed."""
+    terms: dict = {}
+    for path in enumerate_alignment_paths(model, encoder, max_tokens):
+        terms.setdefault(path.tokens, []).append(path.log_prob)
+    return {tokens: log_sum(values) for tokens, values in terms.items()}
 
 
 def total_log_mass(exact: ExactMarginals) -> float:

@@ -20,10 +20,10 @@ from tokenwise.decoder import (
     decode_utterance_tokenwise,
 )
 from tokenwise.cli import main as cli_main
-from tokenwise.harness import BenchmarkReport, run_benchmark
+from tokenwise.harness import BenchmarkReport, load_corpus, run_benchmark
 from tokenwise.metrics import corpus_oracle_wer, corpus_wer, edit_distance
 from tokenwise.decoder import NBestList
-from tokenwise.model import SeededModel, TokenCapModel
+from tokenwise.model import SeededModel, TokenCapModel, load_model_file
 from tokenwise.oracle import exact_marginals, exact_nbest
 
 TOLERANCE = 1e-9
@@ -195,6 +195,23 @@ def test_criterion_1_segment_size_one_equivalence() -> None:
     )
     _report(1, "segment size one equivalence", passed, detail)
     assert passed, detail
+
+
+def test_segment_size_one_equivalence_at_bench_scale() -> None:
+    # Criterion 1 draws up to 25 frames; this slice of the frozen bench
+    # corpus holds its first utterances and its longest ones.
+    model = load_model_file(BENCH_MODEL)
+    utterances = load_corpus(BENCH_CORPUS, model.vocab)
+    longest = sorted(utterances, key=lambda utt: -utt.frames)[:10]
+    chosen = {utt.uid: utt for utt in utterances[:10] + longest}
+    for utt in chosen.values():
+        encoder = model.encode(utt.frames, utt.uid)
+        for beam in (1, 4):
+            config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
+            tokenwise, tw_counters = decode_utterance_tokenwise(model, encoder, config)
+            standard, st_counters = decode_utterance_standard(model, encoder, config)
+            assert tokenwise.entries == standard.entries, f"{utt.uid} at N{beam}"
+            assert vars(tw_counters) == vars(st_counters), f"{utt.uid} at N{beam}"
 
 
 def test_criterion_2_oracle_exactness() -> None:

@@ -1,4 +1,4 @@
-"""Tests for the brute-force alignment oracle."""
+"""Tests for the exact forward-DP oracle."""
 
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from tokenwise.oracle import (
     ENUM_MAX_VOCAB,
     exact_marginals,
     exact_nbest,
-    exact_sequence_marginal,
+    exact_sequence_marginals,
 )
 
-from reference import enumerate_alignment_paths, exact_marginals_dp, total_log_mass
+from reference import enumerate_alignment_paths, path_marginals, total_log_mass
 
 CAP = 4
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -84,20 +84,20 @@ def test_enumeration_agrees_with_forward_dp() -> None:
     for _ in range(25):
         model, _ = _tiny_model(rng)
         encoder = model.encode(uid="dual")
-        enum = exact_marginals(model, encoder, CAP)
-        dp = exact_marginals_dp(model, encoder, CAP)
-        reachable = {seq for seq, val in enum.marginals.items() if val > LOG_ZERO}
-        dp_reachable = {seq for seq, val in dp.items() if val > LOG_ZERO}
-        assert reachable == dp_reachable
+        dp = exact_marginals(model, encoder, CAP)
+        enum = path_marginals(model, encoder, CAP)
+        reachable = {seq for seq, val in dp.marginals.items() if val > LOG_ZERO}
+        enum_reachable = {seq for seq, val in enum.items() if val > LOG_ZERO}
+        assert reachable == enum_reachable
         for seq in reachable:
-            assert abs(enum.marginals[seq] - dp[seq]) < 1e-12
+            assert abs(dp.marginals[seq] - enum[seq]) < 1e-12
 
 
 def test_sequence_marginal_empty_utterance() -> None:
     model = SeededModel(vocab_size=2, frames=3, seed=9)
     encoder = model.encode(frames=0)
-    assert exact_sequence_marginal(model, encoder, ()) == LOG_ONE
-    assert exact_sequence_marginal(model, encoder, (1,)) == LOG_ZERO
+    assert exact_sequence_marginals(model, encoder, [()]) == [LOG_ONE]
+    assert exact_sequence_marginals(model, encoder, [(1,)]) == [LOG_ZERO]
 
 
 def test_event_stream_covers_empty_utterance() -> None:
@@ -119,7 +119,7 @@ def test_enumeration_limits_are_enforced() -> None:
         exact_marginals(small, small.encode(), ENUM_MAX_TOKENS + 1)
     long_utt = SeededModel(vocab_size=2, frames=DP_MAX_FRAMES + 1, seed=1)
     with pytest.raises(ValueError):
-        exact_sequence_marginal(long_utt, long_utt.encode(), (0,))
+        exact_sequence_marginals(long_utt, long_utt.encode(), [(0,)])
     with pytest.raises(ValueError):
         exact_nbest(small, small.encode(), 0, CAP)
 
@@ -136,10 +136,42 @@ def test_bench_scores_never_exceed_the_true_marginal() -> None:
         for utt in utterances:
             encoder = model.encode(utt.frames, utt.uid)
             result, _ = decode_utterance_tokenwise(model, encoder, config)
-            for tokens, score in result.entries:
-                assert score <= exact_sequence_marginal(model, encoder, tokens) + 1e-9
+            marginals = exact_sequence_marginals(model, encoder, result.sequences())
+            for (_, score), marginal in zip(result.entries, marginals, strict=True):
+                assert score <= marginal + 1e-9
                 checked += 1
     assert checked == 20 * (1 + 4 + 1)
+
+
+class _JoinCounting:
+    """Forwards to a model and counts its ``join`` calls."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.joins = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def join(self, *args):
+        self.joins += 1
+        return self.model.join(*args)
+
+
+def test_shared_prefixes_are_joined_once() -> None:
+    model = load_model_file(DATA_DIR / "bench_model.json")
+    for utt in load_corpus(DATA_DIR / "bench_corpus.jsonl", model.vocab)[:3]:
+        encoder = model.encode(utt.frames, utt.uid)
+        sequences = []
+        for beam, segment in ((1, 1), (4, 5), (4, 10)):
+            config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
+            sequences += decode_utterance_tokenwise(model, encoder, config)[0].sequences()
+        counting = _JoinCounting(model)
+        together = exact_sequence_marginals(counting, encoder, sequences)
+        prefixes = {tokens[:u] for tokens in sequences for u in range(len(tokens) + 1)}
+        assert counting.joins == len(prefixes)
+        alone = [exact_sequence_marginals(model, encoder, [tokens])[0] for tokens in sequences]
+        assert [value.hex() for value in together] == [value.hex() for value in alone]
 
 
 def test_blank_certain_model_prefers_empty_sequence() -> None:
@@ -166,14 +198,14 @@ def test_nbest_ranking_matches_dp_route() -> None:
         model, _ = _tiny_model(rng)
         capped = TokenCapModel(model, cap=CAP)
         encoder = capped.encode(uid="rank")
-        enum_ranked = exact_nbest(capped, encoder, 10, CAP)
-        dp = exact_marginals_dp(capped, encoder, CAP)
+        dp_ranked = exact_nbest(capped, encoder, 10, CAP)
+        enum = path_marginals(capped, encoder, CAP)
         resort = sorted(
-            ((seq, val) for seq, val in dp.items() if val > LOG_ZERO or seq == ()),
+            ((seq, val) for seq, val in enum.items() if val > LOG_ZERO or seq == ()),
             key=lambda item: (-item[1], len(item[0]), item[0]),
         )[:10]
-        assert enum_ranked.sequences() == [seq for seq, _ in resort]
-        gaps = [abs(a[1] - b[1]) for a, b in zip(enum_ranked.entries, resort)]
+        assert dp_ranked.sequences() == [seq for seq, _ in resort]
+        gaps = [abs(a[1] - b[1]) for a, b in zip(dp_ranked.entries, resort)]
         assert max(gaps) < 1e-12
 
 
@@ -187,8 +219,8 @@ def test_marginal_upper_bounds_beam_scores() -> None:
         for beam in (1, 2):
             config = DecodeConfig(beam_size=beam, segment_size=2, nbest=beam)
             decoded, _ = decode_utterance_tokenwise(model, encoder, config)
-            for tokens, score in decoded.entries:
-                marginal = exact_sequence_marginal(model, encoder, tokens)
+            marginals = exact_sequence_marginals(model, encoder, decoded.sequences())
+            for (_, score), marginal in zip(decoded.entries, marginals, strict=True):
                 assert score <= marginal + 1e-9
 
 

@@ -28,7 +28,9 @@ from tokenwise.model import (
     TokenCapModel,
     _mix64,
 )
-from tokenwise.oracle import ENUM_MAX_FRAMES, exact_marginals
+from tokenwise.oracle import ENUM_MAX_FRAMES, exact_marginals, exact_sequence_marginals
+
+from reference import path_marginals, total_log_mass
 
 # Derandomized, so every run checks the same examples and a failure reproduces.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -148,6 +150,22 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
     for row, state in zip(batched, states):
         alone = model.join(encoder, (t_begin, t_end), [state], JoinerCounters())[0]
         assert np.array_equal(row, alone)
+
+
+@PROPERTY_SETTINGS
+@given(model=models, cap=st.integers(0, 3))
+def test_forward_dp_equals_the_path_enumeration(model, cap) -> None:
+    # Uncapped models, so the mass past the cap is excluded, not zero.
+    encoder = model.encode(min(model.frames, ENUM_MAX_FRAMES), uid="dp")
+    exact = exact_marginals(model, encoder, cap)
+    enumerated = path_marginals(model, encoder, cap)
+    assert exact.marginals.keys() == enumerated.keys()
+    assert all(abs(exact.marginals[tokens] - enumerated[tokens]) <= 1e-12 for tokens in enumerated)
+    assert abs(total_log_mass(exact)) <= 1e-12
+    per_sequence = exact_sequence_marginals(model, encoder, list(exact.marginals))
+    assert [value.hex() for value in per_sequence] == [
+        value.hex() for value in exact.marginals.values()
+    ]
 
 
 def _matches_exact_marginals(model, cap: int, segment: int) -> None:
