@@ -19,7 +19,7 @@ from .harness import (
     verify,
     verify_files,
 )
-from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum
+from .logmath import LOG_ONE, LOG_ZERO, log_add
 from .metrics import corpus_oracle_wer, corpus_wer, edit_distance
 from .model import (
     EncoderOutput,

@@ -6,7 +6,7 @@ segment sizes into a JSON report, and ``verify`` checks the decoding
 invariants against the exact oracle on a tiny corpus.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 for
-invalid inputs or file problems.
+invalid inputs, inputs too large to fit in memory, or file problems.
 """
 
 from __future__ import annotations
@@ -219,6 +219,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Every command builds its per-token and per-frame tables before it
+        # writes anything, so an input too large for them leaves no output.
+        print(f"error: input is too large to fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,7 +32,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_array, log_sum_exp
+from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_exp
 from .model import EncoderOutput, JoinerCounters, PredictorState, TransducerModel
 
 UNBOUNDED_BEAM = 1_000_000_000
@@ -79,9 +79,6 @@ class NBestList:
                 raise ValueError("duplicate sequence in n-best list")
             seen.add(tokens)
 
-    def sequences(self) -> list[tuple[int, ...]]:
-        return [tokens for tokens, _ in self.entries]
-
     @property
     def top(self) -> tuple[int, ...]:
         if not self.entries:
@@ -117,7 +114,7 @@ class DecodeTrace:
         """
         self.rounds += 1
         with np.errstate(invalid="ignore", over="ignore"):
-            totals = np.logaddexp(blank_scores, log_sum_array(token_scores, axis=1))
+            totals = np.logaddexp(blank_scores, log_sum_exp(token_scores, 1)[:, 0])
             defects = np.abs(np.exp(scores) * np.expm1(totals - scores))
         defects = np.where(np.isneginf(scores) & np.isneginf(totals), 0.0, defects)
         if np.isnan(defects).any():

@@ -8,7 +8,6 @@ and is the identity of log-domain sums, so callers need no special casing.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -30,24 +29,16 @@ def log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def log_sum(values: Iterable[float]) -> float:
-    """Fold :func:`log_add` over ``values``. The empty sum is ``LOG_ZERO``."""
-    total = LOG_ZERO
-    for value in values:
-        total = log_add(total, value)
-    return total
-
-
 def log_sum_exp(values: np.ndarray, axis: int) -> np.ndarray:
     """Log-sum-exp of a float64 array along ``axis``, keeping that axis.
 
-    The one log-sum-exp kernel; :func:`log_sum_array` and
-    :func:`log_normalize` are built on it. Each slice is shifted by its peak,
-    exponentiated, summed, logged and shifted back, in that order, so the
-    result equals ``log(sum(exp(values - peak))) + peak`` bit for bit. A
-    slice whose peak is not finite is shifted by zero instead: an empty or
-    all-``LOG_ZERO`` slice gives ``LOG_ZERO``, a slice holding ``+inf`` gives
-    ``+inf``, and a slice holding NaN gives NaN.
+    The one log-sum-exp kernel; :func:`log_normalize` is built on it, and a
+    caller that wants the axis removed indexes it away. Each slice is
+    shifted by its peak, exponentiated, summed, logged and shifted back, in
+    that order, so the result equals ``log(sum(exp(values - peak))) + peak``
+    bit for bit. A slice whose peak is not finite is shifted by zero
+    instead: an empty or all-``LOG_ZERO`` slice gives ``LOG_ZERO``, a slice
+    holding ``+inf`` gives ``+inf``, and a slice holding NaN gives NaN.
     """
     peak = np.maximum.reduce(values, axis=axis, keepdims=True, initial=LOG_ZERO)
     finite = np.isfinite(peak).all()
@@ -63,21 +54,6 @@ def log_sum_exp(values: np.ndarray, axis: int) -> np.ndarray:
             np.log(total, out=total)
     total += peak
     return total
-
-
-def log_sum_array(values: np.ndarray, axis: int | None = None):
-    """Log-sum-exp reduction over a numpy array, by :func:`log_sum_exp`.
-
-    Empty and all-``LOG_ZERO`` slices reduce to ``LOG_ZERO`` instead of
-    producing NaN; NaN propagates. Returns a float when the reduction
-    removes every axis.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if axis is None:
-        values = values.ravel()
-        axis = 0
-    out = np.squeeze(log_sum_exp(values, axis), axis=axis)
-    return out if out.ndim else float(out)
 
 
 def log_normalize(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_add, log_sum
+import numpy as np
+
+from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_exp
 from tokenwise.model import EncoderOutput, JoinerCounters, TransducerModel
 from tokenwise.oracle import ExactMarginals
 
@@ -71,9 +73,12 @@ def path_marginals(model: TransducerModel, encoder: EncoderOutput, max_tokens: i
     terms: dict = {}
     for path in enumerate_alignment_paths(model, encoder, max_tokens):
         terms.setdefault(path.tokens, []).append(path.log_prob)
-    return {tokens: log_sum(values) for tokens, values in terms.items()}
+    return {
+        tokens: float(log_sum_exp(np.array(values), 0)[0]) for tokens, values in terms.items()
+    }
 
 
 def total_log_mass(exact: ExactMarginals) -> float:
     """Mass of complete plus excluded paths; zero in exact arithmetic."""
-    return log_add(log_sum(exact.marginals.values()), exact.excluded_log_mass)
+    covered = log_sum_exp(np.array(list(exact.marginals.values())), 0)[0]
+    return log_add(float(covered), exact.excluded_log_mass)

@@ -66,7 +66,7 @@ def _equivalence_run() -> dict:
         config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
         tokenwise, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
         standard, _ = decode_utterance_standard(model, encoder, config, trace=trace)
-        if tokenwise.sequences() != standard.sequences():
+        if [s for s, _ in tokenwise.entries] != [s for s, _ in standard.entries]:
             mismatches.append(f"eq-{index:04d}: sequence sets differ")
             continue
         for (_, a), (_, b) in zip(tokenwise.entries, standard.entries):
@@ -130,7 +130,7 @@ def _oracle_run() -> dict:
         for seq, marginal in reachable.items():
             max_gap = max(max_gap, abs(scores[seq] - marginal))
         ranked = exact_nbest(model, encoder, len(scores), TINY_CAP)
-        if decoded.sequences() != ranked.sequences():
+        if [s for s, _ in decoded.entries] != [s for s, _ in ranked.entries]:
             mismatches.append(f"{encoder.uid}: ranking differs")
     return {
         "mismatches": mismatches,

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokenwise
 from tokenwise import cli, harness
@@ -516,3 +522,265 @@ def test_import_does_not_load_the_process_pool() -> None:
         env=_child_env(),
     )
     assert proc.stdout == "False\n"
+
+
+# A size that fails its allocation at once: 10**12 tokens or frames asks
+# numpy for 7.28 TiB, which no host grants, so nothing is touched.
+HUGE = 10**12
+
+
+def _exits_two_leaving_nothing(argv: list[str], workspace: Path, capsys) -> None:
+    before = sorted(workspace.rglob("*"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert re.fullmatch(r"error: input is too large to fit in memory: [^\n]+\n", captured.err)
+    assert sorted(workspace.rglob("*")) == before
+
+
+def test_a_vocabulary_too_large_for_memory_exits_two(tmp_path: Path, capsys) -> None:
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({"kind": "seeded", "vocab_size": HUGE, "frames": 6, "seed": 1}),
+        encoding="utf-8",
+    )
+    corpus = str(DATA_DIR / "tiny_corpus.jsonl")
+    for argv in (
+        ["decode", "--model", str(model), "--corpus", corpus, "--out", str(tmp_path / "h.jsonl")],
+        ["bench", "--model", str(model), "--corpus", corpus, "--out", str(tmp_path / "r.json")],
+        ["verify", "--model", str(model), "--corpus", corpus],
+        [
+            "generate",
+            "--seed", "1",
+            "--count", "1",
+            "--vocab-size", str(HUGE),
+            "--model", str(tmp_path / "g" / "m.json"),
+            "--corpus", str(tmp_path / "g" / "c.jsonl"),
+        ],
+    ):
+        _exits_two_leaving_nothing(argv, tmp_path, capsys)
+
+
+def test_an_utterance_too_long_for_memory_exits_two(tmp_path: Path, capsys) -> None:
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"id": "short", "frames": 3, "reference": [0]}\n'
+        f'{{"id": "long", "frames": {HUGE}, "reference": [0]}}\n',
+        encoding="utf-8",
+    )
+    model = str(DATA_DIR / "tiny_model.json")
+    report = str(tmp_path / "r.json")
+    for argv in (
+        ["decode", "--model", model, "--corpus", str(corpus), "--out", str(tmp_path / "h.jsonl")],
+        ["bench", "--model", model, "--corpus", str(corpus), "--out", report],
+        ["bench", "--model", model, "--corpus", str(corpus), "--workers", "2", "--out", report],
+        [
+            "generate",
+            "--seed", "1",
+            "--count", "1",
+            "--frames-min", str(HUGE),
+            "--frames-max", str(HUGE),
+            "--model", str(tmp_path / "g" / "m.json"),
+            "--corpus", str(tmp_path / "g" / "c.jsonl"),
+        ],
+    ):
+        _exits_two_leaving_nothing(argv, tmp_path, capsys)
+
+
+# The input contract on generated inputs. Each case breaks at most one input
+# ("site"), so valid cases are common and every fault is seen on its own.
+# Sizes are drawn from small valid values plus 0, -1 and HUGE, never in
+# between, where an allocation could succeed and take gigabytes. Sizes that
+# cost time instead of memory (counts, beams, repeats) never take HUGE: such
+# a beam makes the search unbounded. Paths are relative to a fresh
+# workspace, written as "{ws}/...", that holds a regular file "afile" and an
+# empty directory "adir".
+_WS = "{ws}"
+_BAD_TYPES = [None, True, False, "2", 2.5, [1], ""]
+_SITES = {
+    "generate": ["count", "vocab", "frames", "prior", "model-out", "corpus-out"],
+    "decode": ["nbest", "rounds", "beam", "segment", "out"],
+    "bench": ["rounds", "beam", "segment", "repeats", "workers", "out"],
+    "verify": ["tolerance", "tokens"],
+}
+_FILE_SITES = ["model", "vocab", "corpus", "frames", "paths"]
+
+
+@st.composite
+def _model_texts(draw, broken: Optional[str]) -> tuple[str, int]:
+    """A model file's text and the vocabulary size it was built with."""
+    vocab = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        row = [0.0, -1.0, 0.5, 2.0][: vocab + 1]
+        spec = {"kind": "tabular", "vocab_size": vocab, "frames": 4, "payload": [[row, row]] * 4}
+    else:
+        spec = {
+            "kind": "seeded",
+            "vocab_size": vocab,
+            "frames": draw(st.sampled_from([1, 2, 4])),
+            "seed": draw(st.integers(-3, 3)),
+            "blank_prior": draw(st.sampled_from([0.3, 0.85])),
+        }
+    if broken == "vocab":
+        spec["vocab_size"] = draw(st.sampled_from([HUGE, 0, -1]))
+    if broken != "model":
+        return json.dumps(spec), vocab
+    field = draw(st.sampled_from(sorted(spec)))
+    mutation = draw(
+        st.sampled_from(["type", "size", "missing", "unknown", "not-object", "not-json"])
+    )
+    if mutation == "type":
+        spec[field] = draw(st.sampled_from(_BAD_TYPES))
+    elif mutation == "size":
+        spec["frames"] = draw(st.sampled_from([HUGE, 0, -1]))
+    elif mutation == "missing":
+        del spec[field]
+    elif mutation == "unknown":
+        spec["extra"] = 1
+    text = json.dumps([spec] if mutation == "not-object" else spec)
+    return (text[:-1] if mutation == "not-json" else text), vocab
+
+
+@st.composite
+def _corpus_texts(draw, vocab: int, broken: Optional[str]) -> str:
+    """Valid corpora have 1 to 3 utterances of at most 4 frames, zero included."""
+    records = [
+        {
+            "id": f"u{index}",
+            "frames": draw(st.sampled_from([0, 1, 2, 4])),
+            "reference": draw(st.lists(st.integers(0, vocab - 1), max_size=3)),
+        }
+        for index in range(draw(st.integers(1, 3)))
+    ]
+    lines = [json.dumps(record) for record in records]
+    mutation = {"frames": "size", "corpus": None}.get(broken, "none")
+    if mutation is None:
+        mutation = draw(
+            st.sampled_from(
+                ["empty", "type", "missing", "unknown", "out-of-vocabulary"]
+                + ["duplicate-id", "not-object", "not-json"]
+            )
+        )
+    if mutation == "empty":
+        return ""
+    if mutation != "none":
+        index = draw(st.integers(0, len(records) - 1))
+        record = records[index]
+        field = draw(st.sampled_from(["id", "frames", "reference"]))
+        if mutation == "type":
+            record[field] = draw(st.sampled_from(_BAD_TYPES))
+        elif mutation == "size":
+            record["frames"] = draw(st.sampled_from([HUGE, -1]))
+        elif mutation == "missing":
+            del record[field]
+        elif mutation == "unknown":
+            record["extra"] = 0
+        elif mutation == "out-of-vocabulary":
+            record["reference"] = [draw(st.sampled_from([vocab, -1, HUGE]))]
+        lines[index] = {"not-object": "[]", "not-json": "{"}.get(mutation, json.dumps(record))
+        if mutation == "duplicate-id":
+            lines.append(lines[index])
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _cases(draw) -> tuple[dict[str, str], list[str], list[str]]:
+    """Files to write, the argv, and the output paths a success must leave."""
+    command = draw(st.sampled_from(sorted(_SITES)))
+    sites = _SITES[command] + (_FILE_SITES if command != "generate" else [])
+    broken = draw(st.one_of(st.none(), st.sampled_from(sites)))
+
+    def pick(site: str, valid: list, invalid: list):
+        return draw(st.sampled_from(invalid if broken == site else valid))
+
+    def output(site: str, name: str) -> str:
+        return f"{_WS}/{pick(site, [name, f'new/deeper/{name}'], [f'afile/{name}', 'adir'])}"
+
+    if command == "generate":
+        low, high = pick(
+            "frames",
+            [(1, 3), (2, 4), (4, 4)],
+            [(HUGE, HUGE), (HUGE, 2), (0, 2), (-1, 2), (3, 1), (2, 0), (2, -1)],
+        )
+        outputs = [output("model-out", "model.json"), output("corpus-out", "corpus.jsonl")]
+        argv = [
+            command,
+            "--seed", str(draw(st.integers(-3, 3))),
+            "--count", str(pick("count", [1, 2], [0, -1])),
+            "--vocab-size", str(pick("vocab", [1, 3], [HUGE, 0, -1])),
+            "--frames-min", str(low),
+            "--frames-max", str(high),
+            "--blank-prior", str(pick("prior", [0.85, 0.5], [0.0, 1.0])),
+            "--model", outputs[0],
+            "--corpus", outputs[1],
+        ]
+        return {}, argv, outputs
+
+    model_text, vocab = draw(_model_texts(broken))
+    files = {"model": model_text, "corpus": draw(_corpus_texts(vocab, broken))}
+    model_path, corpus_path = pick(
+        "paths",
+        [("model", "corpus")],
+        [("absent", "corpus"), ("adir", "corpus"), ("model", "absent"), ("model", "adir")],
+    )
+    argv = [command, "--model", f"{_WS}/{model_path}", "--corpus", f"{_WS}/{corpus_path}"]
+    if command == "verify":
+        argv += ["--tolerance", str(pick("tolerance", [1e-9, 0.0], [-1.0, float("nan")]))]
+        argv += ["--max-tokens", str(pick("tokens", [1, 2], [0, -1, HUGE]))]
+        return files, argv, []
+    rounds = pick("rounds", [None, 1, 3, HUGE], [0, -1])
+    if rounds is not None:
+        argv += ["--max-rounds", str(rounds)]
+    if command == "decode":
+        beam = pick("beam", [1, 2], [0, -1])
+        argv += ["--beam-size", str(beam)]
+        argv += ["--nbest", str(pick("nbest", [1, max(beam, 1)], [0, -1, HUGE]))]
+        argv += ["--segment-size", str(pick("segment", [1, 2, HUGE], [0, -1]))]
+    else:
+        beams = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2))
+        segments = [1] + draw(st.lists(st.sampled_from([2, HUGE]), max_size=1))
+        if broken == "beam":
+            beams.append(draw(st.sampled_from([0, -1])))
+        if broken == "segment":
+            segments = draw(st.sampled_from([[2], [1, 0], [-1, 1]]))
+        argv += [arg for beam in beams for arg in ("--beam-size", str(beam))]
+        argv += [arg for segment in segments for arg in ("--segment-size", str(segment))]
+        # A bench's nbest is clamped to each cell's beam, so HUGE is valid there.
+        argv += ["--nbest", str(draw(st.sampled_from([1, 2, HUGE])))]
+        argv += ["--repeats", str(pick("repeats", [1, 2], [0, -1]))]
+        argv += ["--workers", str(pick("workers", [1, 2], [0, -1]))]
+    outputs = []
+    if broken == "out" or draw(st.booleans()):
+        outputs.append(output("out", "out"))
+        argv += ["--out", outputs[0]]
+    return files, argv, outputs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_cases())
+def test_every_command_keeps_the_input_contract(case) -> None:
+    files, argv, outputs = case
+    with tempfile.TemporaryDirectory() as workspace:
+        root = Path(workspace)
+        (root / "afile").write_text("", encoding="utf-8")
+        (root / "adir").mkdir()
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        before = sorted(root.rglob("*"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace(_WS, workspace) for arg in argv])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert sorted(root.rglob("*")) == before
+        elif code == 1:
+            assert argv[0] == "verify" and "FAIL" in out
+        else:
+            assert code == 0
+            assert "error" not in err
+            assert all(Path(path.replace(_WS, workspace)).is_file() for path in outputs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
-from tokenwise.logmath import LOG_ZERO, log_sum_array
+from tokenwise.logmath import LOG_ZERO, log_sum_exp
 from tokenwise.model import (
     EncoderOutput,
     JoinerCounters,
@@ -55,7 +55,7 @@ def test_seeded_rows_are_normalized() -> None:
     state = model.init_predictor()
     deep = model.advance_predictor(state, 7)
     grid = model.join(encoder, (0, 30), [state, deep], JoinerCounters())
-    assert np.abs(log_sum_array(grid, axis=-1)).max() < 1e-12
+    assert np.abs(log_sum_exp(grid, -1)).max() < 1e-12
 
 
 def test_seeded_model_is_deterministic() -> None:
@@ -241,7 +241,7 @@ def test_tabular_model_normalizes_and_clamps_depth() -> None:
     deep = model.advance_predictor(model.advance_predictor(root, 0), 0)
     assert deep.depth == 2
     rows = model.join(encoder, (0, 2), [root, deep], JoinerCounters())
-    assert np.abs(log_sum_array(rows[0], axis=-1)).max() < 1e-12
+    assert np.abs(log_sum_exp(rows[0], -1)).max() < 1e-12
     # depth 2 exceeds the two stored prefix rows, so the last row is reused
     second = model.join(encoder, (0, 2), [model.advance_predictor(root, 0)], JoinerCounters())[0]
     assert np.array_equal(rows[1], second)

@@ -10,7 +10,7 @@ import pytest
 
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
-from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_sum
+from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_sum_exp
 from tokenwise.model import SeededModel, TabularModel, TokenCapModel, load_model_file
 from tokenwise.oracle import (
     DP_MAX_FRAMES,
@@ -46,7 +46,7 @@ def test_truncated_mass_is_separated_not_dropped() -> None:
     model = SeededModel(vocab_size=2, frames=4, seed=7, blank_prior=0.3)
     exact = exact_marginals(model, model.encode(uid="trunc"), 1)
     assert exact.excluded_log_mass > LOG_ZERO
-    covered = log_sum(exact.marginals.values())
+    covered = log_sum_exp(np.array(list(exact.marginals.values())), 0)[0]
     assert covered < 0.0
     assert abs(total_log_mass(exact)) < 1e-12
 
@@ -76,7 +76,8 @@ def test_marginal_is_sum_over_any_path_ordering() -> None:
         for trial in range(5):
             shuffled = list(terms)
             np.random.default_rng(trial).shuffle(shuffled)
-            assert abs(log_sum(shuffled) - exact.marginals.get(tokens, LOG_ZERO)) < 1e-12
+            total = log_sum_exp(np.array(shuffled), 0)[0]
+            assert abs(total - exact.marginals.get(tokens, LOG_ZERO)) < 1e-12
 
 
 def test_enumeration_agrees_with_forward_dp() -> None:
@@ -136,7 +137,9 @@ def test_bench_scores_never_exceed_the_true_marginal() -> None:
         for utt in utterances:
             encoder = model.encode(utt.frames, utt.uid)
             result, _ = decode_utterance_tokenwise(model, encoder, config)
-            marginals = exact_sequence_marginals(model, encoder, result.sequences())
+            marginals = exact_sequence_marginals(
+                model, encoder, [tokens for tokens, _ in result.entries]
+            )
             for (_, score), marginal in zip(result.entries, marginals, strict=True):
                 assert score <= marginal + 1e-9
                 checked += 1
@@ -165,7 +168,8 @@ def test_shared_prefixes_are_joined_once() -> None:
         sequences = []
         for beam, segment in ((1, 1), (4, 5), (4, 10)):
             config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
-            sequences += decode_utterance_tokenwise(model, encoder, config)[0].sequences()
+            result, _ = decode_utterance_tokenwise(model, encoder, config)
+            sequences += [tokens for tokens, _ in result.entries]
         counting = _JoinCounting(model)
         together = exact_sequence_marginals(counting, encoder, sequences)
         prefixes = {tokens[:u] for tokens in sequences for u in range(len(tokens) + 1)}
@@ -189,7 +193,7 @@ def test_nbest_returns_all_when_n_exceeds_sequences() -> None:
     exact = exact_marginals(capped, encoder, 2)
     reachable = {seq for seq, val in exact.marginals.items() if val > LOG_ZERO or seq == ()}
     result = exact_nbest(capped, encoder, 1000, 2)
-    assert set(result.sequences()) == reachable
+    assert {tokens for tokens, _ in result.entries} == reachable
 
 
 def test_nbest_ranking_matches_dp_route() -> None:
@@ -204,7 +208,7 @@ def test_nbest_ranking_matches_dp_route() -> None:
             ((seq, val) for seq, val in enum.items() if val > LOG_ZERO or seq == ()),
             key=lambda item: (-item[1], len(item[0]), item[0]),
         )[:10]
-        assert dp_ranked.sequences() == [seq for seq, _ in resort]
+        assert [seq for seq, _ in dp_ranked.entries] == [seq for seq, _ in resort]
         gaps = [abs(a[1] - b[1]) for a, b in zip(dp_ranked.entries, resort)]
         assert max(gaps) < 1e-12
 
@@ -219,7 +223,9 @@ def test_marginal_upper_bounds_beam_scores() -> None:
         for beam in (1, 2):
             config = DecodeConfig(beam_size=beam, segment_size=2, nbest=beam)
             decoded, _ = decode_utterance_tokenwise(model, encoder, config)
-            marginals = exact_sequence_marginals(model, encoder, decoded.sequences())
+            marginals = exact_sequence_marginals(
+                model, encoder, [tokens for tokens, _ in decoded.entries]
+            )
             for (_, score), marginal in zip(decoded.entries, marginals, strict=True):
                 assert score <= marginal + 1e-9
 
