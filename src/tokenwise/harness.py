@@ -13,6 +13,7 @@ runs are byte-identical once timing is stripped.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import statistics
 import time
@@ -234,19 +235,11 @@ def _relative_delta(value: Optional[float], baseline: Optional[float]):
     return (value - baseline) / baseline
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(spec: ModelSpec) -> None:
-    _POOL_STATE["model"] = load_model(spec)
-
-
-def _pool_decode(task: tuple[DecodeConfig, str, int]):
-    config, uid, frames = task
-    model = _POOL_STATE["model"]
-    encoder = model.encode(frames, uid)
-    result, counters = decode_utterance_tokenwise(model, encoder, config)
-    return result.entries, counters
+def _decode_utterance(
+    model: TransducerModel, config: DecodeConfig, utt: Utterance
+) -> tuple[NBestList, JoinerCounters]:
+    encoder = model.encode(utt.frames, utt.uid)
+    return decode_utterance_tokenwise(model, encoder, config)
 
 
 def decode_corpus(
@@ -256,21 +249,21 @@ def decode_corpus(
     pool: Optional[ProcessPoolExecutor] = None,
     chunksize: int = 1,
 ) -> tuple[list[NBestList], JoinerCounters]:
-    """Decode every utterance, in this process or, given a pool, in its workers.
+    """Decode every utterance with ``model``, in this process or in ``pool``'s workers.
 
-    Results keep the corpus order; the counters are summed over the corpus.
+    A pool gets the model by pickle with each chunk of ``chunksize``
+    utterances. Results keep the corpus order; the counters are summed over
+    the corpus.
     """
+    decode = functools.partial(_decode_utterance, model, config)
+    if pool is None:
+        decoded = map(decode, utterances)
+    else:
+        decoded = pool.map(decode, utterances, chunksize=chunksize)
     counters = JoinerCounters()
     results: list[NBestList] = []
-    if pool is None:
-        for utt in utterances:
-            encoder = model.encode(utt.frames, utt.uid)
-            result, _ = decode_utterance_tokenwise(model, encoder, config, counters)
-            results.append(result)
-        return results, counters
-    tasks = [(config, utt.uid, utt.frames) for utt in utterances]
-    for entries, utterance_counters in pool.map(_pool_decode, tasks, chunksize=chunksize):
-        results.append(NBestList(entries))
+    for result, utterance_counters in decoded:
+        results.append(result)
         counters.merge(utterance_counters)
     return results, counters
 
@@ -359,9 +352,7 @@ def run_benchmark(
         # Imported here because it pulls in multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool_context = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(spec,)
-        )
+        pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
         if pool is not None:
             pool.submit(int).result()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -31,6 +32,7 @@ from tokenwise.model import (
     TokenCapModel,
     Vocabulary,
     load_model,
+    load_model_file,
     read_model_spec,
     write_model_spec,
 )
@@ -299,6 +301,22 @@ def test_run_benchmark_builds_one_pool_per_run(tmp_path: Path, monkeypatch) -> N
     assert built == [2]
     run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1])
     assert built == [2]
+
+
+def test_decode_corpus_in_a_plain_pool_decodes_with_the_given_model() -> None:
+    model = load_model_file(DATA_DIR / "tiny_model.json")
+    utterances = load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab)
+    config = DecodeConfig(beam_size=2, segment_size=2, nbest=2)
+    # No initializer: the workers know no model but the one each call hands them.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        # Bounds every result decode_corpus reads, so a lost worker fails the test.
+        pool.map = functools.partial(pool.map, timeout=60)
+        # A token cap of 1 is a model no spec describes.
+        for candidate in (model, TokenCapModel(model, 1)):
+            want, want_counters = harness.decode_corpus(candidate, utterances, config)
+            got, got_counters = harness.decode_corpus(candidate, utterances, config, pool, 3)
+            assert [r.entries for r in got] == [r.entries for r in want]
+            assert vars(got_counters) == vars(want_counters)
 
 
 def test_blank_certain_benchmark_has_exact_call_count(tmp_path: Path) -> None:

@@ -41,16 +41,16 @@ def test_log_add_extreme_magnitudes() -> None:
     assert abs(near - (-800.0 + math.log(2.0))) < 1e-12
 
 
-def test_log_sum_empty_is_zero_probability() -> None:
+def test_log_sum_exp_empty_is_zero_probability() -> None:
     assert log_sum_exp(np.empty(0), 0).tolist() == [LOG_ZERO]
 
 
-def test_log_sum_thousand_small_terms() -> None:
+def test_log_sum_exp_thousand_small_terms() -> None:
     total = log_sum_exp(np.full(1000, math.log(0.001)), 0)[0]
     assert abs(total - LOG_ONE) < 1e-9
 
 
-def test_log_sum_array_matches_scalar_fold() -> None:
+def test_log_sum_exp_matches_scalar_fold() -> None:
     rng = np.random.default_rng(7)
     for _ in range(50):
         values = rng.uniform(-20.0, 0.0, size=rng.integers(1, 40))
@@ -60,7 +60,7 @@ def test_log_sum_array_matches_scalar_fold() -> None:
         assert abs(got[0] - want) < 1e-12
 
 
-def test_log_sum_array_axis_and_infinities() -> None:
+def test_log_sum_exp_axis_and_infinities() -> None:
     values = np.array([[LOG_ZERO, LOG_ZERO], [0.0, math.log(3.0)]])
     by_row = log_sum_exp(values, 1)[:, 0]
     assert by_row[0] == LOG_ZERO
@@ -68,7 +68,7 @@ def test_log_sum_array_axis_and_infinities() -> None:
     assert not np.isnan(by_row).any()
 
 
-def test_log_sum_array_empty_axis() -> None:
+def test_log_sum_exp_empty_axis() -> None:
     values = np.empty((3, 0))
     out = log_sum_exp(values, 1)
     assert out.shape == (3, 1)
@@ -138,8 +138,8 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
 
 @KERNEL_SETTINGS
 @given(case=_arrays_and_axes(min_side=0))
-def test_log_sum_array_equals_the_reference_formula_exactly(case) -> None:
-    # Empty slices included; no axis means the flattened array.
+def test_log_sum_exp_equals_the_reference_formula_exactly(case) -> None:
+    # Empty slices included; a drawn axis of None sums the flattened array along axis 0.
     values, axis = case
     if axis is None:
         values, axis = values.ravel(), 0
