@@ -280,21 +280,6 @@ class TransducerModel(ABC):
         return token
 
 
-def _index_hashes(count: int) -> tuple[np.ndarray, ...]:
-    """Utterance-independent hashes of the indices ``0..count-1``.
-
-    Index ``i`` is frame ``i`` and depth ``i`` at once. Returns the ids, the
-    inner spike and slot hashes, and the depth keys of the seeded joiner.
-    """
-    ids = np.arange(count, dtype=np.uint64)
-    return (
-        ids,
-        _mix64_array(ids + np.uint64(_SPIKE_SALT)),
-        _mix64_array(ids + np.uint64(_SLOT_SALT)),
-        _mix64_array(ids + np.uint64(_DEPTH_SALT)),
-    )
-
-
 class SeededTables(NamedTuple):
     """What :meth:`SeededModel.encode` precomputes for one utterance.
 
@@ -343,9 +328,6 @@ class SeededModel(TransducerModel):
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
         self._lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
         self._token_ids = np.arange(vocab_size)
-        # Grown by ``_tables`` to the longest utterance encoded, never to the
-        # spec's ``frames``, so loading costs no memory per frame.
-        self._indices = _index_hashes(0)
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)
@@ -360,23 +342,20 @@ class SeededModel(TransducerModel):
         """Every joiner term that depends on the frame alone or the depth alone.
 
         These stand in for a network's encoder and predictor projections.
-        The depth table covers depths ``0..frames-1``; deeper states are
-        hashed from scratch by :meth:`_depth_terms` at join time.
+        The depth table is :meth:`_depth_terms` at depths ``0..frames-1``;
+        join evaluates it afresh for deeper states.
         """
-        if len(self._indices[0]) < frames:
-            self._indices = _index_hashes(frames)
-        ids, spike_pre, slot_pre, depth_keys = (hashes[:frames] for hashes in self._indices)
+        ids = np.arange(frames, dtype=np.uint64)
         key = np.uint64(handle)
-        spike_unit = (_mix64_array(key ^ spike_pre) >> np.uint64(11)).astype(np.float64) * (
-            2.0 ** -53
-        )
+        spike_unit = (
+            _mix64_array(key ^ _mix64_array(ids + np.uint64(_SPIKE_SALT))) >> np.uint64(11)
+        ).astype(np.float64) * (2.0 ** -53)
+        depth_keys, preferred = self._depth_terms(handle, ids)
         return SeededTables(
             demanded=np.cumsum(spike_unit < (1.0 - self.blank_prior)).astype(np.int64),
             frame_keys=_mix64_array(key ^ (ids + np.uint64(_FRAME_SALT))),
             depth_keys=depth_keys,
-            preferred=(_mix64_array(key ^ slot_pre) % np.uint64(self.vocab.size)).astype(
-                np.int64
-            ),
+            preferred=preferred,
         )
 
     def _depth_terms(self, handle: int, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,14 +515,12 @@ def load_model(spec: ModelSpec) -> TransducerModel:
             seed=spec.seed,
             blank_prior=spec.blank_prior,
         )
-    if spec.kind == "tabular":
-        model = TabularModel(vocab_size=spec.vocab_size, payload=spec.payload)
-        if model.frames != spec.frames:
-            raise ModelFormatError(
-                f"payload holds {model.frames} frames but spec declares {spec.frames}"
-            )
-        return model
-    raise ModelFormatError(f"unknown model kind: {spec.kind!r}")
+    model = TabularModel(vocab_size=spec.vocab_size, payload=spec.payload)
+    if model.frames != spec.frames:
+        raise ModelFormatError(
+            f"payload holds {model.frames} frames but spec declares {spec.frames}"
+        )
+    return model
 
 
 def read_model_spec(path: str | Path) -> ModelSpec:

@@ -148,10 +148,12 @@ def exact_sequence_marginals(
     for tokens in sequences:
         for u in range(1, len(tokens) + 1):
             if tokens[:u] not in columns:
+                # The child's rows first: advancing the predictor checks the token.
+                child_rows = cache.rows(tokens[:u])
                 parent = columns[tokens[: u - 1]]
                 rows = cache.rows(tokens[: u - 1])
                 entering = [mass + row[tokens[u - 1]] for mass, row in zip(parent, rows)]
-                columns[tokens[:u]] = _column(entering, cache.rows(tokens[:u]), blank)
+                columns[tokens[:u]] = _column(entering, child_rows, blank)
     return [columns[tokens][-1] for tokens in sequences]
 
 
@@ -160,9 +162,5 @@ def exact_nbest(
 ) -> NBestList:
     """Top ``n`` sequences by exact marginal, ranked like the decoders."""
     exact = exact_marginals(model, encoder, max_tokens)
-    entries = {
-        tokens: (score, None)
-        for tokens, score in exact.marginals.items()
-        if score > LOG_ZERO or tokens == ()
-    }
+    entries = {tokens: (score, None) for tokens, score in exact.marginals.items()}
     return NBestList(tuple((tokens, score) for tokens, score, _ in _ranked(entries, n)))

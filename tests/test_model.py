@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,20 @@ def test_loading_a_seeded_model_does_not_scale_with_its_frames() -> None:
         got, _ = decode_utterance_tokenwise(model, model.encode(3, uid), config)
         want, _ = decode_utterance_tokenwise(small, small.encode(3, uid), config)
         assert got == want
+
+
+def test_encode_leaves_a_seeded_model_unchanged() -> None:
+    model = _golden_model()
+    before = pickle.dumps(model)
+    for frames in (0, 7, 300):
+        model.encode(frames, uid="still")
+        assert pickle.dumps(model) == before
+    # A state deeper than the depth table is scored without touching the model either.
+    state = model.init_predictor()
+    for token in (0, 1, 2, 0, 1):
+        state = model.advance_predictor(state, token)
+    model.join(model.encode(3, uid="still"), (0, 3), [state], JoinerCounters())
+    assert pickle.dumps(model) == before
 
 
 def test_encode_rejects_negative_frames() -> None:

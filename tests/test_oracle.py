@@ -101,6 +101,15 @@ def test_sequence_marginal_empty_utterance() -> None:
     assert exact_sequence_marginals(model, encoder, [(1,)]) == [LOG_ZERO]
 
 
+def test_sequence_marginals_reject_tokens_outside_the_vocabulary() -> None:
+    model = load_model_file(DATA_DIR / "tiny_model.json")
+    encoder = model.encode(uid="range")
+    size = model.vocab.size
+    for tokens in ((-1,), (size,), (size + 1,), (0, 99)):
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            exact_sequence_marginals(model, encoder, [tokens])
+
+
 def test_event_stream_covers_empty_utterance() -> None:
     model = SeededModel(vocab_size=2, frames=3, seed=9)
     exact = exact_marginals(model, model.encode(frames=0), CAP)

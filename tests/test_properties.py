@@ -19,8 +19,10 @@ from tokenwise.decoder import (
 )
 from tokenwise.logmath import LOG_ZERO
 from tokenwise.model import (
+    _DEPTH_SALT,
     _FRAME_SALT,
     _MASK64,
+    _SLOT_SALT,
     _SPIKE_SALT,
     JoinerCounters,
     SeededModel,
@@ -128,6 +130,18 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
         depth_keys, preferred = model._depth_terms(encoder.handle, np.array([depth]))
         assert tables.depth_keys[depth] == depth_keys[0]
         assert tables.preferred[depth] == preferred[0]
+    # The depth terms, rebuilt one depth at a time from the scalar hash, also
+    # past the table, where join calls ``_depth_terms`` directly.
+    deep = np.arange(frames + 12)
+    depth_keys, preferred = model._depth_terms(encoder.handle, deep)
+    for depth in deep.tolist():
+        depth_key = _mix64((depth + _DEPTH_SALT) & _MASK64)
+        slot = _mix64(encoder.handle ^ _mix64((depth + _SLOT_SALT) & _MASK64))
+        assert depth_keys[depth] == depth_key
+        assert preferred[depth] == slot % model.vocab.size
+        if depth < frames:
+            assert tables.depth_keys[depth] == depth_key
+            assert tables.preferred[depth] == slot % model.vocab.size
     # The frame terms, rebuilt one frame at a time from the scalar hash.
     demanded = 0
     for frame in range(frames):
