@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .decoder import DecodeConfig
 from .harness import (
-    CorpusFormatError,
     corpus_summary,
     decode_corpus,
     generate_corpus,
@@ -114,8 +113,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     model = load_model_file(args.model)
     utterances = load_corpus(args.corpus, model.vocab)
-    if not utterances:
-        raise CorpusFormatError(f"corpus {args.corpus} is empty")
     config = DecodeConfig(
         beam_size=args.beam_size,
         segment_size=args.segment_size,

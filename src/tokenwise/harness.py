@@ -80,7 +80,7 @@ class Utterance:
 
 
 def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Utterance]:
-    """Read a JSONL corpus, optionally validating tokens against a vocabulary."""
+    """Read a non-empty JSONL corpus, optionally validating tokens against a vocabulary."""
     path = Path(path)
     utterances: list[Utterance] = []
     seen_ids: set[str] = set()
@@ -121,6 +121,8 @@ def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Ut
                     f" of size {vocab.size}"
                 )
         utterances.append(Utterance(uid, frames, tuple(reference)))
+    if not utterances:
+        raise CorpusFormatError(f"corpus {path} is empty")
     return utterances
 
 
@@ -340,8 +342,6 @@ def run_benchmark(
     spec = read_model_spec(model_path)
     model = load_model(spec)
     utterances = load_corpus(corpus_path, model.vocab)
-    if not utterances:
-        raise CorpusFormatError(f"corpus {corpus_path} is empty")
 
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before

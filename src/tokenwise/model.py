@@ -331,8 +331,6 @@ class SeededModel(TransducerModel):
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)
-        if frames < 0:
-            raise ValueError("frame count cannot be negative")
         handle = _mix64(self._seed_key ^ _string_key(uid))
         return EncoderOutput(
             frames=frames, handle=handle, uid=uid, payload=self._tables(handle, frames)
@@ -425,7 +423,7 @@ class TabularModel(TransducerModel):
     """Joiner outputs read from an explicit raw-logit table.
 
     ``payload[t][u][k]`` holds the raw logit for symbol ``k`` at frame ``t``
-    given a prefix of length ``u``; rows are log-normalized at join time.
+    given a prefix of length ``u``; rows are log-normalized once, at load.
     Predictor states are keyed by prefix length only, and prefixes deeper
     than the table reuse its last row.
     """
@@ -448,8 +446,8 @@ class TabularModel(TransducerModel):
             raise ModelFormatError("payload logits must be finite or -inf")
         if (table.max(axis=2) == LOG_ZERO).any():
             raise ModelFormatError("payload contains a row with no finite logit")
-        table.setflags(write=False)
-        self._table = table
+        self._table = log_normalize(table, axis=-1)
+        self._table.setflags(write=False)
         self.frames = table.shape[0]
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
@@ -470,8 +468,7 @@ class TabularModel(TransducerModel):
     def _segment_scores(self, encoder, t_begin, t_end, states):
         depth_rows = self._table.shape[1]
         rows = [min(s.depth, depth_rows - 1) for s in states]
-        block = self._table[t_begin:t_end, rows, :]
-        return log_normalize(np.transpose(block, (1, 0, 2)), axis=-1)
+        return np.transpose(self._table[t_begin:t_end, rows, :], (1, 0, 2))
 
 
 class TokenCapModel(TransducerModel):

@@ -37,8 +37,8 @@ class ExactMarginals:
     excluded_log_mass: float
 
 
-class _RowCache:
-    """Joiner rows per consumed prefix, fetched once over the whole utterance."""
+class _Trie:
+    """The prefix trie of one utterance: each prefix's state, rows and column, made once."""
 
     def __init__(self, model: TransducerModel, encoder: EncoderOutput) -> None:
         self._model = model
@@ -46,6 +46,7 @@ class _RowCache:
         self._scratch = JoinerCounters()
         self._states = {(): model.init_predictor()}
         self._rows: dict = {}
+        self._columns: dict = {}
 
     def state(self, prefix: tuple[int, ...]):
         got = self._states.get(prefix)
@@ -56,37 +57,49 @@ class _RowCache:
         return got
 
     def rows(self, prefix: tuple[int, ...]) -> list[list[float]]:
-        """The prefix's joiner rows as lists of Python floats, ``[frame][symbol]``.
+        """The prefix's joiner rows as Python floats, ``[frame][symbol]``.
 
-        The column folds read one value at a time, which is cheaper from a
-        list than from an array; the values are the same doubles.
+        The folds read one value at a time, cheaper from a list than from an
+        array. The state is advanced first, so every token is checked, even
+        at zero frames, where the rows are ``[]`` and nothing is joined.
         """
         got = self._rows.get(prefix)
         if got is None:
-            got = self._model.join(
-                self._encoder,
-                (0, self._encoder.frames),
-                [self.state(prefix)],
-                self._scratch,
-            )[0].tolist()
+            state, frames = self.state(prefix), self._encoder.frames
+            got = []
+            if frames:
+                grid = self._model.join(self._encoder, (0, frames), [state], self._scratch)
+                got = grid[0].tolist()
             self._rows[prefix] = got
         return got
 
+    def entering(self, prefix: tuple[int, ...], token: int) -> list[float]:
+        """Mass entering ``prefix + (token,)`` at each frame: column plus emission."""
+        return [mass + row[token] for mass, row in zip(self.column(prefix), self.rows(prefix))]
 
-def _column(entering: list[float], rows: list[list[float]], blank: int) -> list[float]:
-    """A prefix's column: ``log_add(entering[t], column[t-1] + blank[t-1])``.
+    def column(self, prefix: tuple[int, ...]) -> list[float]:
+        """The prefix's column: ``log_add(entering[t], column[t-1] + blank[t-1])``.
 
-    ``entering[t]`` is the parent's column at frame t plus the emission of
-    the prefix's last token. The extra last entry is the prefix's marginal.
-    """
-    column = []
-    carried = LOG_ZERO
-    for mass, row in zip(entering, rows):
-        carried = log_add(mass, carried)
-        column.append(carried)
-        carried += row[blank]
-    column.append(carried)
-    return column
+        The empty prefix starts with all the mass. The extra last entry is
+        the prefix's marginal. Callers walk prefixes parent first, so the
+        recursion to the parent's column stays one level deep.
+        """
+        got = self._columns.get(prefix)
+        if got is None:
+            rows = self.rows(prefix)
+            if prefix:
+                carried, entering = LOG_ZERO, self.entering(prefix[:-1], prefix[-1])
+            else:
+                carried, entering = LOG_ONE, [LOG_ZERO] * len(rows)
+            blank = self._model.vocab.blank_id
+            got = []
+            for mass, row in zip(entering, rows):
+                carried = log_add(mass, carried)
+                got.append(carried)
+                carried += row[blank]
+            got.append(carried)
+            self._columns[prefix] = got
+        return got
 
 
 def exact_marginals(
@@ -105,26 +118,21 @@ def exact_marginals(
         raise ValueError(f"enumeration handles vocabularies up to {ENUM_MAX_VOCAB}")
     if not (0 <= max_tokens <= ENUM_MAX_TOKENS):
         raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
-    if encoder.frames == 0:
-        return ExactMarginals({(): LOG_ONE}, LOG_ZERO)
-    cache = _RowCache(model, encoder)
-    blank = model.vocab.blank_id
+    trie = _Trie(model, encoder)
     marginals: dict = {}
     excluded = LOG_ZERO
-    start = [LOG_ONE] + [LOG_ZERO] * (encoder.frames - 1)
-    nodes = [((), _column(start, cache.rows(()), blank))]
-    for prefix, column in nodes:  # grows as children are appended
-        if column[-1] > LOG_ZERO:
-            marginals[prefix] = column[-1]
-        rows = cache.rows(prefix)
+    prefixes = [()]
+    for prefix in prefixes:  # grows as children are appended
+        marginal = trie.column(prefix)[-1]
+        if marginal > LOG_ZERO:
+            marginals[prefix] = marginal
         for token in range(model.vocab.size):
-            entering = [mass + row[token] for mass, row in zip(column, rows)]
+            entering = trie.entering(prefix, token)
             if len(prefix) == max_tokens:
                 for mass in entering:
                     excluded = log_add(excluded, mass)
-            elif max(entering) > LOG_ZERO:
-                child = prefix + (token,)
-                nodes.append((child, _column(entering, cache.rows(child), blank)))
+            elif max(entering, default=LOG_ZERO) > LOG_ZERO:
+                prefixes.append(prefix + (token,))
     return ExactMarginals(marginals, excluded)
 
 
@@ -138,23 +146,12 @@ def exact_sequence_marginals(
     """
     if encoder.frames > DP_MAX_FRAMES:
         raise ValueError(f"forward DP handles at most {DP_MAX_FRAMES} frames")
+    trie = _Trie(model, encoder)
     sequences = [tuple(int(k) for k in tokens) for tokens in sequences]
-    if encoder.frames == 0:
-        return [LOG_ONE if not tokens else LOG_ZERO for tokens in sequences]
-    cache = _RowCache(model, encoder)
-    blank = model.vocab.blank_id
-    start = [LOG_ONE] + [LOG_ZERO] * (encoder.frames - 1)
-    columns = {(): _column(start, cache.rows(()), blank)}
     for tokens in sequences:
-        for u in range(1, len(tokens) + 1):
-            if tokens[:u] not in columns:
-                # The child's rows first: advancing the predictor checks the token.
-                child_rows = cache.rows(tokens[:u])
-                parent = columns[tokens[: u - 1]]
-                rows = cache.rows(tokens[: u - 1])
-                entering = [mass + row[tokens[u - 1]] for mass, row in zip(parent, rows)]
-                columns[tokens[:u]] = _column(entering, child_rows, blank)
-    return [columns[tokens][-1] for tokens in sequences]
+        for u in range(len(tokens) + 1):
+            trie.column(tokens[:u])
+    return [trie.column(tokens)[-1] for tokens in sequences]
 
 
 def exact_nbest(

@@ -397,18 +397,13 @@ def test_decode_zero_frame_corpus_exits_zero(tmp_path: Path, capsys) -> None:
 def test_decode_empty_corpus_exits_two_before_output(tmp_path: Path, capsys) -> None:
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("", encoding="utf-8")
-    out_path = tmp_path / "hyps.jsonl"
-    code = main(
-        [
-            "decode",
-            "--model", str(DATA_DIR / "tiny_model.json"),
-            "--corpus", str(corpus),
-            "--out", str(out_path),
-        ]
-    )
-    assert code == 2
-    assert f"error: corpus {corpus} is empty" in capsys.readouterr().err
-    assert not out_path.exists()
+    out_path = tmp_path / "out.json"
+    for command in ("decode", "bench", "verify"):
+        argv = [command, "--model", str(DATA_DIR / "tiny_model.json"), "--corpus", str(corpus)]
+        code = main(argv + (["--out", str(out_path)] if command != "verify" else []))
+        assert code == 2, command
+        assert f"error: corpus {corpus} is empty" in capsys.readouterr().err, command
+        assert not out_path.exists(), command
 
 
 def _bench_report(tmp_path: Path, corpus_lines: str) -> dict:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
-from tokenwise.logmath import LOG_ZERO, log_sum_exp
+from tokenwise.logmath import LOG_ZERO, log_normalize, log_sum_exp
 from tokenwise.model import (
     EncoderOutput,
     JoinerCounters,
@@ -144,7 +144,7 @@ def test_encode_leaves_a_seeded_model_unchanged() -> None:
 
 def test_encode_rejects_negative_frames() -> None:
     model = _golden_model()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot be negative"):
         model.encode(frames=-1)
 
 
@@ -257,6 +257,9 @@ def test_tabular_model_normalizes_and_clamps_depth() -> None:
     assert deep.depth == 2
     rows = model.join(encoder, (0, 2), [root, deep], JoinerCounters())
     assert np.abs(log_sum_exp(rows[0], -1)).max() < 1e-12
+    # normalized once at load, bit for bit as if each joined block were normalized
+    raw = np.transpose(payload[:, [0, 1], :], (1, 0, 2))
+    assert rows.tobytes() == np.ascontiguousarray(log_normalize(raw, axis=-1)).tobytes()
     # depth 2 exceeds the two stored prefix rows, so the last row is reused
     second = model.join(encoder, (0, 2), [model.advance_predictor(root, 0)], JoinerCounters())[0]
     assert np.array_equal(rows[1], second)

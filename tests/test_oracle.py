@@ -103,11 +103,18 @@ def test_sequence_marginal_empty_utterance() -> None:
 
 def test_sequence_marginals_reject_tokens_outside_the_vocabulary() -> None:
     model = load_model_file(DATA_DIR / "tiny_model.json")
-    encoder = model.encode(uid="range")
     size = model.vocab.size
-    for tokens in ((-1,), (size,), (size + 1,), (0, 99)):
-        with pytest.raises(ValueError, match="outside vocabulary"):
-            exact_sequence_marginals(model, encoder, [tokens])
+    for encoder in (model.encode(uid="range"), model.encode(0, uid="range")):
+        for tokens in ((-1,), (size,), (size + 1,), (0, 99)):
+            with pytest.raises(ValueError, match="outside vocabulary"):
+                exact_sequence_marginals(model, encoder, [tokens])
+
+
+def test_sequence_marginals_handle_a_sequence_longer_than_the_recursion_limit() -> None:
+    model = SeededModel(vocab_size=3, frames=8, seed=5)
+    tokens = tuple(k % 3 for k in range(1500))
+    [marginal] = exact_sequence_marginals(model, model.encode(uid="long"), [tokens])
+    assert isinstance(marginal, float)
 
 
 def test_event_stream_covers_empty_utterance() -> None:

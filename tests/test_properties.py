@@ -167,10 +167,10 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
 
 
 @PROPERTY_SETTINGS
-@given(model=models, cap=st.integers(0, 3))
-def test_forward_dp_equals_the_path_enumeration(model, cap) -> None:
+@given(model=models, cap=st.integers(0, 3), data=st.data())
+def test_forward_dp_equals_the_path_enumeration(model, cap, data) -> None:
     # Uncapped models, so the mass past the cap is excluded, not zero.
-    encoder = model.encode(min(model.frames, ENUM_MAX_FRAMES), uid="dp")
+    encoder = model.encode(data.draw(st.integers(0, min(model.frames, ENUM_MAX_FRAMES))), uid="dp")
     exact = exact_marginals(model, encoder, cap)
     enumerated = path_marginals(model, encoder, cap)
     assert exact.marginals.keys() == enumerated.keys()
