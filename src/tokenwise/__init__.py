@@ -17,7 +17,6 @@ from .harness import (
     run_benchmark,
     save_corpus,
     verify,
-    verify_files,
 )
 from .logmath import LOG_ONE, LOG_ZERO, log_add
 from .metrics import corpus_oracle_wer, corpus_wer, edit_distance

@@ -24,7 +24,7 @@ from .harness import (
     generate_corpus,
     load_corpus,
     run_benchmark,
-    verify_files,
+    verify,
 )
 from .model import (
     DEFAULT_BLANK_PRIOR,
@@ -120,7 +120,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         max_rounds_per_segment=args.max_rounds,
     )
     if args.out is not None:
-        check_output_path(args.out)
+        check_output_path(args.out, args.model, args.corpus)
     started = time.perf_counter()
     results, counters = decode_corpus(model, utterances, config)
     summary = corpus_summary(utterances, results, counters, time.perf_counter() - started)
@@ -164,7 +164,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     beams = args.beam_size if args.beam_size else [1, 2]
     segments = args.segment_size if args.segment_size else [1, 2, 3, 5, 10]
     if args.out is not None:
-        check_output_path(args.out)
+        check_output_path(args.out, args.model, args.corpus)
     report = run_benchmark(
         model_path=args.model,
         corpus_path=args.corpus,
@@ -194,9 +194,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_files(
-        args.model, args.corpus, tolerance=args.tolerance, max_tokens=args.max_tokens
-    )
+    model = load_model_file(args.model)
+    utterances = load_corpus(args.corpus, model.vocab)
+    results = verify(model, utterances, tolerance=args.tolerance, max_tokens=args.max_tokens)
     for result in results:
         mark = "PASS" if result.passed else "FAIL"
         print(f"{mark} {result.name}: {result.detail}")

@@ -15,10 +15,11 @@ Two interchangeable strategies over the same model interface:
 Both strategies apply the same selection rules (merging, ranking, pruning,
 tie-breaking), so with a segment size of one they make identical decisions
 and produce identical beams. Both hold the beam between frames or segments
-as ranked ``(tokens, score, state)`` entries and share only the ranking.
-The rest is implemented independently, so each can check the other: the
-standard decoder scores products along each path, the token-wise decoder
-works on emission-mass arrays.
+as ranked ``(tokens, score, state)`` entries and share only the ranking,
+the pruning threshold (:func:`_nth_largest`) and the round cap
+(:meth:`DecodeConfig.rounds_cap`). The rest is implemented independently,
+so each can check the other: the standard decoder scores products along
+each path, the token-wise decoder works on emission-mass arrays.
 
 Scores are natural-log probabilities throughout. A hypothesis score is the
 sum of the probabilities of every alignment of its token sequence that the
@@ -331,12 +332,13 @@ def decode_utterance_standard(
                 counters.forced_finalizations += len(active)
                 break
             order = alive[np.argsort(-flat[alive], kind="stable")]
-            children: dict[tuple[int, ...], tuple[float, PredictorState]] = {}
+            # Active entries carry distinct sequences, so their children do too.
+            children = []
             for flat_index in order[: config.beam_size]:
                 parent, token = divmod(int(flat_index), vocab_size)
                 seq, _, state = active[parent]
                 child = model.advance_predictor(state, token)
-                _merge_entry(children, seq + (token,), float(flat[flat_index]), child)
-            active = [(seq, score, state) for seq, (score, state) in children.items()]
+                children.append((seq + (token,), float(flat[flat_index]), child))
+            active = children
         beam = _ranked(finished, config.beam_size)
     return NBestList(tuple((seq, score) for seq, score, _ in beam[: config.nbest])), counters

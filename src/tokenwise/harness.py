@@ -40,7 +40,6 @@ from .model import (
     _mix64,
     check_output_path,
     load_model,
-    load_model_file,
     read_model_spec,
     write_model_spec,
     write_text_file,
@@ -161,9 +160,9 @@ def generate_corpus(
     low, high = int(frames_range[0]), int(frames_range[1])
     if not (0 < low <= high):
         raise ValueError("frame range must satisfy 0 < low <= high")
-    for path in (model_path, corpus_path):
-        if path is not None:
-            check_output_path(path)
+    outputs = [path for path in (model_path, corpus_path) if path is not None]
+    for index, path in enumerate(outputs):
+        check_output_path(path, *outputs[:index])
     spec = ModelSpec(
         kind="seeded",
         vocab_size=vocab_size,
@@ -470,12 +469,13 @@ def verify(
     if not tolerance >= 0.0:
         raise ValueError("tolerance must be a non-negative number")
 
+    # A capped model encodes as its inner model, so one encoder per utterance serves every pass.
+    encoders = [model.encode(utt.frames, utt.uid) for utt in utterances]
     trace = DecodeTrace()
 
     def s1_pairs():
         # Lazy, so decoding stops at the first mismatch.
-        for utt in utterances:
-            encoder = model.encode(utt.frames, utt.uid)
+        for utt, encoder in zip(utterances, encoders):
             for beam in VERIFY_BEAM_SIZES:
                 config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
                 reference, _ = decode_utterance_standard(model, encoder, config, trace=trace)
@@ -489,8 +489,7 @@ def verify(
     capped = TokenCapModel(model, max_tokens)
     exact_pairs = []
     invariance_pairs = []
-    for utt in utterances:
-        encoder = capped.encode(utt.frames, utt.uid)
+    for utt, encoder in zip(utterances, encoders):
         truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, max_tokens)
         whole = max(utt.frames, 1)
         by_segment = {}
@@ -515,8 +514,7 @@ def verify(
     )
 
     bound_defect = 0.0
-    for utt in utterances:
-        encoder = model.encode(utt.frames, utt.uid)
+    for encoder in encoders:
         entries = []
         for beam in VERIFY_BEAM_SIZES:
             for segment in (1, 3):
@@ -540,15 +538,3 @@ def verify(
         f"max defect {trace.max_mass_defect:.3e} over {trace.mass_checks} checks",
     )
     return (s1, exactness, invariance, bound, mass)
-
-
-def verify_files(
-    model_path: str | Path,
-    corpus_path: str | Path,
-    *,
-    tolerance: float = 1e-9,
-    max_tokens: int = 4,
-) -> tuple[PropertyResult, ...]:
-    model = load_model_file(model_path)
-    utterances = load_corpus(corpus_path, model.vocab)
-    return verify(model, utterances, tolerance=tolerance, max_tokens=max_tokens)

@@ -107,7 +107,6 @@ class EncoderOutput:
     """
 
     frames: int
-    handle: int = 0
     uid: str = ""
     payload: Any = field(default=None, compare=False, repr=False)
 
@@ -283,12 +282,14 @@ class TransducerModel(ABC):
 class SeededTables(NamedTuple):
     """What :meth:`SeededModel.encode` precomputes for one utterance.
 
-    ``demanded[t]`` is how many tokens the script demands by frame ``t``,
-    ``frame_keys[t]`` the frame's hash key, and ``depth_keys[u]`` and
-    ``preferred[u]`` the gate key and the preferred token of a state that
-    has emitted ``u`` tokens, for ``u`` below ``len(preferred)``.
+    ``handle`` is the utterance's hash key, ``demanded[t]`` how many tokens
+    the script demands by frame ``t``, ``frame_keys[t]`` the frame's hash
+    key, and ``depth_keys[u]`` and ``preferred[u]`` the gate key and the
+    preferred token of a state that has emitted ``u`` tokens, for ``u``
+    below ``len(preferred)``.
     """
 
+    handle: int
     demanded: np.ndarray
     frame_keys: np.ndarray
     depth_keys: np.ndarray
@@ -332,9 +333,7 @@ class SeededModel(TransducerModel):
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)
         handle = _mix64(self._seed_key ^ _string_key(uid))
-        return EncoderOutput(
-            frames=frames, handle=handle, uid=uid, payload=self._tables(handle, frames)
-        )
+        return EncoderOutput(frames=frames, uid=uid, payload=self._tables(handle, frames))
 
     def _tables(self, handle: int, frames: int) -> SeededTables:
         """Every joiner term that depends on the frame alone or the depth alone.
@@ -350,6 +349,7 @@ class SeededModel(TransducerModel):
         ).astype(np.float64) * (2.0 ** -53)
         depth_keys, preferred = self._depth_terms(handle, ids)
         return SeededTables(
+            handle=handle,
             demanded=np.cumsum(spike_unit < (1.0 - self.blank_prior)).astype(np.int64),
             frame_keys=_mix64_array(key ^ (ids + np.uint64(_FRAME_SALT))),
             depth_keys=depth_keys,
@@ -386,7 +386,7 @@ class SeededModel(TransducerModel):
             depth_keys = tables.depth_keys[depths]
             preferred = tables.preferred[depths]
         else:
-            depth_keys, preferred = self._depth_terms(encoder.handle, depths)
+            depth_keys, preferred = self._depth_terms(tables.handle, depths)
 
         acoustic = _mix64_array(depth_keys[:, None] ^ frame_keys[None, :])
         gate_unit = (
@@ -456,7 +456,7 @@ class TabularModel(TransducerModel):
             raise ValueError(
                 f"tabular model holds {self.frames} frames, cannot encode {frames}"
             )
-        return EncoderOutput(frames=frames, handle=0, uid=uid)
+        return EncoderOutput(frames=frames, uid=uid)
 
     def init_predictor(self) -> PredictorState:
         return PredictorState(key=0, depth=0)
@@ -531,12 +531,17 @@ def read_model_spec(path: str | Path) -> ModelSpec:
     return ModelSpec.from_dict(data)
 
 
-def check_output_path(path: str | Path) -> Path:
-    """Reject a path that is a directory or lies under something that is not one.
+def check_output_path(path: str | Path, *others: str | Path) -> Path:
+    """Reject a directory, a path under a non-directory, or one of ``others``' files.
 
-    Nothing is created, so a caller can check every output before any work.
+    ``others`` are the command's inputs and other outputs, compared once
+    resolved. Nothing is created, so a caller can check every output before
+    any work.
     """
     path = Path(path)
+    for other in others:
+        if Path(other).resolve() == path.resolve():
+            raise ValueError(f"output path {path} names the same file as {other}")
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")
     parent = path.parent

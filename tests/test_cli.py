@@ -524,15 +524,23 @@ def test_import_does_not_load_the_process_pool() -> None:
 HUGE = 10**12
 
 
-def _exits_two_leaving_nothing(argv: list[str], workspace: Path, capsys) -> None:
-    before = sorted(workspace.rglob("*"))
+TOO_LARGE = r"input is too large to fit in memory: [^\n]+"
+
+
+def _snapshot(workspace: Path) -> dict[Path, Optional[bytes]]:
+    return {path: path.read_bytes() if path.is_file() else None for path in workspace.rglob("*")}
+
+
+def _exits_two_leaving_nothing(argv: list[str], workspace: Path, capsys, message: str) -> None:
+    """``argv`` exits 2 with one ``error:`` line matching ``message`` and changes no file."""
+    before = _snapshot(workspace)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2, argv
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert re.fullmatch(r"error: input is too large to fit in memory: [^\n]+\n", captured.err)
-    assert sorted(workspace.rglob("*")) == before
+    assert re.fullmatch(f"error: {message}\n", captured.err), captured.err
+    assert _snapshot(workspace) == before
 
 
 def test_a_vocabulary_too_large_for_memory_exits_two(tmp_path: Path, capsys) -> None:
@@ -555,7 +563,7 @@ def test_a_vocabulary_too_large_for_memory_exits_two(tmp_path: Path, capsys) -> 
             "--corpus", str(tmp_path / "g" / "c.jsonl"),
         ],
     ):
-        _exits_two_leaving_nothing(argv, tmp_path, capsys)
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
 
 
 def test_an_utterance_too_long_for_memory_exits_two(tmp_path: Path, capsys) -> None:
@@ -581,7 +589,27 @@ def test_an_utterance_too_long_for_memory_exits_two(tmp_path: Path, capsys) -> N
             "--corpus", str(tmp_path / "g" / "c.jsonl"),
         ],
     ):
-        _exits_two_leaving_nothing(argv, tmp_path, capsys)
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
+
+
+def test_an_output_naming_an_input_or_the_other_output_exits_two(tmp_path: Path, capsys) -> None:
+    (tmp_path / "t").mkdir()
+    model, corpus = tmp_path / "t" / "model.json", tmp_path / "t" / "corpus.jsonl"
+    model.write_bytes((DATA_DIR / "tiny_model.json").read_bytes())
+    corpus.write_bytes((DATA_DIR / "tiny_corpus.jsonl").read_bytes())
+    inputs = ["--model", str(model), "--corpus", str(corpus)]
+    dotted = str(tmp_path / "t" / ".." / "t" / "corpus.jsonl")
+    generate = ["generate", "--seed", "1", "--count", "1", "--vocab-size", "2"]
+    generate += ["--frames-min", "2", "--frames-max", "3"]
+    for argv, out, same in (
+        ([*generate, "--model", str(model), "--corpus", str(model)], model, model),
+        (["decode", *inputs, "--out", str(corpus)], corpus, corpus),
+        (["decode", *inputs, "--out", str(model)], model, model),
+        (["bench", *inputs, "--out", str(model)], model, model),
+        (["bench", *inputs, "--out", dotted], dotted, corpus),
+    ):
+        message = re.escape(f"output path {out} names the same file as {same}")
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
 
 
 # The input contract on generated inputs. Each case breaks at most one input

@@ -22,7 +22,6 @@ from tokenwise.harness import (
     run_benchmark,
     save_corpus,
     verify,
-    verify_files,
 )
 from tokenwise.logmath import LOG_ZERO
 from tokenwise.metrics import corpus_wer
@@ -73,6 +72,10 @@ def test_load_corpus_round_trip(tmp_path: Path) -> None:
     save_corpus(utterances, path)
     assert load_corpus(path) == utterances
     assert load_corpus(path, Vocabulary(3)) == utterances
+    # A blank line between records is skipped.
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    _write_lines(path, [first, "", second])
+    assert load_corpus(path) == utterances
 
 
 def test_load_corpus_reports_line_numbers(tmp_path: Path) -> None:
@@ -107,6 +110,12 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
     )
     with pytest.raises(CorpusFormatError):
         load_corpus(bool_frames)
+    for reference in ('"0"', "[0, true]"):
+        bad_reference = _write_lines(
+            tmp_path / "ref.jsonl", [f'{{"id": "a", "frames": 2, "reference": {reference}}}']
+        )
+        with pytest.raises(CorpusFormatError, match="reference must be a list of integers"):
+            load_corpus(bad_reference)
     dup = _write_lines(
         tmp_path / "dup.jsonl",
         [
@@ -347,8 +356,20 @@ def test_blank_certain_benchmark_has_exact_call_count(tmp_path: Path) -> None:
             assert cell["counters"]["forced_finalizations"] == 0
 
 
-def test_verify_passes_on_bundled_tiny_corpus() -> None:
-    results = verify_files(DATA_DIR / "tiny_model.json", DATA_DIR / "tiny_corpus.jsonl")
+def test_verify_passes_on_bundled_tiny_corpus(monkeypatch) -> None:
+    model = load_model_file(DATA_DIR / "tiny_model.json")
+    utterances = load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab)
+    encoded = []
+    encode = SeededModel.encode
+
+    def counting_encode(self, frames=None, uid=""):
+        encoded.append(uid)
+        return encode(self, frames, uid)
+
+    monkeypatch.setattr(SeededModel, "encode", counting_encode)
+    results = verify(model, utterances)
+    # Every pass, the token-capped one included, reuses one encoder output per utterance.
+    assert encoded == [utt.uid for utt in utterances]
     assert all(result.passed for result in results)
     names = [result.name for result in results]
     assert len(names) == len(set(names)) == 5
@@ -502,6 +523,7 @@ def _mass_pass(checks: int) -> tuple:
 )
 def test_verify_reports_each_injected_fault(monkeypatch, inject, expected) -> None:
     inject(monkeypatch)
-    results = verify_files(DATA_DIR / "tiny_model.json", DATA_DIR / "tiny_corpus.jsonl")
+    model = load_model_file(DATA_DIR / "tiny_model.json")
+    results = verify(model, load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab))
     got = [(r.passed, r.name, r.max_defect, r.detail) for r in results]
     assert got == expected

@@ -66,6 +66,8 @@ def test_corpus_wer_rejects_empty_reference_pool() -> None:
         corpus_wer([((), (1, 2))])
     with pytest.raises(ValueError):
         corpus_wer([])
+    with pytest.raises(ValueError, match="no reference tokens"):
+        corpus_oracle_wer([((), NBestList((((1, 2), -0.1),)))])
 
 
 def test_oracle_wer_picks_best_entry() -> None:

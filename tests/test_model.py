@@ -100,7 +100,7 @@ def test_seeded_model_is_prefix_order_sensitive() -> None:
 def test_join_without_seeded_tables_raises() -> None:
     model = SeededModel(vocab_size=4, frames=6, seed=17)
     encoder = model.encode(uid="payload")
-    bare = EncoderOutput(frames=encoder.frames, handle=encoder.handle, uid=encoder.uid)
+    bare = EncoderOutput(frames=encoder.frames, uid=encoder.uid)
     assert bare.payload is None
     state = model.init_predictor()
     counters = JoinerCounters()
@@ -266,18 +266,19 @@ def test_tabular_model_normalizes_and_clamps_depth() -> None:
 
 
 def test_tabular_model_validates_payload() -> None:
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="not a rectangular numeric table"):
         TabularModel(vocab_size=2, payload=[[[0.0, 0.0], [0.0]]])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="rows have 4 symbols, expected 3"):
         TabularModel(vocab_size=2, payload=_uniform_payload(2, 1, 4))
-    with pytest.raises(ModelFormatError):
-        TabularModel(vocab_size=2, payload=np.zeros((2, 0, 3)).tolist())
+    # As a list, a table with no prefix rows flattens to 2-D; as an array it keeps its shape.
+    with pytest.raises(ModelFormatError, match="at least one prefix row"):
+        TabularModel(vocab_size=2, payload=np.zeros((2, 0, 3)))
     nan_payload = np.zeros((1, 1, 3))
     nan_payload[0, 0, 0] = np.nan
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="must be finite or -inf"):
         TabularModel(vocab_size=2, payload=nan_payload.tolist())
     dead_row = np.full((1, 1, 3), LOG_ZERO)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="a row with no finite logit"):
         TabularModel(vocab_size=2, payload=dead_row.tolist())
 
 
@@ -327,6 +328,8 @@ def test_model_spec_validation() -> None:
         ModelSpec(kind="tabular", vocab_size=2, frames=2)
     with pytest.raises(ModelFormatError):
         ModelSpec(kind="seeded", vocab_size=0, frames=2, seed=1)
+    with pytest.raises(ModelFormatError, match="frames cannot be negative"):
+        ModelSpec(kind="seeded", vocab_size=2, frames=-1, seed=1)
     with pytest.raises(ModelFormatError):
         ModelSpec.from_dict({"kind": "seeded", "vocab_size": 2, "frames": 2, "seed": 1, "zap": 3})
     with pytest.raises(ModelFormatError):
@@ -361,8 +364,8 @@ def test_read_model_spec_bad_file(tmp_path) -> None:
 
 
 def test_encoder_payload_ignored_by_equality() -> None:
-    a = EncoderOutput(frames=3, handle=1, uid="u", payload=np.array([0, 1, 1]))
-    b = EncoderOutput(frames=3, handle=1, uid="u", payload=None)
+    a = EncoderOutput(frames=3, uid="u", payload=np.array([0, 1, 1]))
+    b = EncoderOutput(frames=3, uid="u", payload=None)
     assert a == b
 
 

@@ -127,16 +127,16 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
     tables = encoder.payload
     assert len(tables.depth_keys) == len(tables.preferred) == frames
     for depth in range(frames):
-        depth_keys, preferred = model._depth_terms(encoder.handle, np.array([depth]))
+        depth_keys, preferred = model._depth_terms(tables.handle, np.array([depth]))
         assert tables.depth_keys[depth] == depth_keys[0]
         assert tables.preferred[depth] == preferred[0]
     # The depth terms, rebuilt one depth at a time from the scalar hash, also
     # past the table, where join calls ``_depth_terms`` directly.
     deep = np.arange(frames + 12)
-    depth_keys, preferred = model._depth_terms(encoder.handle, deep)
+    depth_keys, preferred = model._depth_terms(tables.handle, deep)
     for depth in deep.tolist():
         depth_key = _mix64((depth + _DEPTH_SALT) & _MASK64)
-        slot = _mix64(encoder.handle ^ _mix64((depth + _SLOT_SALT) & _MASK64))
+        slot = _mix64(tables.handle ^ _mix64((depth + _SLOT_SALT) & _MASK64))
         assert depth_keys[depth] == depth_key
         assert preferred[depth] == slot % model.vocab.size
         if depth < frames:
@@ -145,10 +145,10 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
     # The frame terms, rebuilt one frame at a time from the scalar hash.
     demanded = 0
     for frame in range(frames):
-        spike = _mix64(encoder.handle ^ _mix64((frame + _SPIKE_SALT) & _MASK64))
+        spike = _mix64(tables.handle ^ _mix64((frame + _SPIKE_SALT) & _MASK64))
         demanded += (spike >> 11) * 2.0**-53 < 1.0 - model.blank_prior
         assert tables.demanded[frame] == demanded
-        frame_key = _mix64(encoder.handle ^ ((frame + _FRAME_SALT) & _MASK64))
+        frame_key = _mix64(tables.handle ^ ((frame + _FRAME_SALT) & _MASK64))
         assert tables.frame_keys[frame] == frame_key
     # A call holding any state past the table scores every state from scratch,
     # so it must match single-state calls, which read the table where they can.
