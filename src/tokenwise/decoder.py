@@ -153,12 +153,18 @@ def _batch_expansions(
     ``mass`` is (batch, frames); ``grids`` is (batch, frames, symbols) with
     blank last. Returns the per-token shifted emission masses
     (batch, frames, tokens), the non-blank expansion scores (batch, tokens),
-    and the segment-closing blank scores (batch,).
+    and the segment-closing blank scores (batch,). Over one frame the
+    log-sum-exp of a single value ``x`` is ``log(1) + x``, which is
+    ``x + 0.0`` bit for bit (``-0.0`` becomes ``0.0``, and ``-inf``, ``+inf``
+    and NaN pass through), so that case skips the kernel.
     """
     blanks = grids[:, :, -1]
     carry = _carried_mass(mass, blanks)
     token_mass = carry[:, :, None] + grids[:, :, :-1]
-    token_scores = log_sum_exp(token_mass, 1)[:, 0, :]
+    if token_mass.shape[1] == 1:
+        token_scores = token_mass[:, 0, :] + 0.0
+    else:
+        token_scores = log_sum_exp(token_mass, 1)[:, 0, :]
     blank_scores = carry[:, -1] + blanks[:, -1]
     return token_mass, token_scores, blank_scores
 

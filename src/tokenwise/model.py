@@ -25,7 +25,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .logmath import LOG_ONE, LOG_ZERO, log_normalize
+from .logmath import LOG_ONE, LOG_ZERO, log_normalize, log_sum_exp
 
 
 class ModelFormatError(ValueError):
@@ -61,12 +61,26 @@ def _mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+# numpy forms of the constants the array hashes use, made once at import.
+_NP_GOLDEN, _NP_MIX1, _NP_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_NP_SHIFT30, _NP_SHIFT27, _NP_SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_NP_GATE_SALT = np.uint64(_GATE_SALT)
+_UNIT_SHIFT = np.uint64(11)
+
+
 def _mix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_mix64` over a uint64 array (wrapping arithmetic)."""
-    out = values + np.uint64(_GOLDEN)
-    out = (out ^ (out >> np.uint64(30))) * np.uint64(_MIX1)
-    out = (out ^ (out >> np.uint64(27))) * np.uint64(_MIX2)
-    return out ^ (out >> np.uint64(31))
+    """Vectorized :func:`_mix64` over a uint64 array (wrapping arithmetic).
+
+    The first add makes the one new array; every later step runs in place
+    on it, so ``values`` is left as it was.
+    """
+    out = values + _NP_GOLDEN
+    out ^= out >> _NP_SHIFT30
+    out *= _NP_MIX1
+    out ^= out >> _NP_SHIFT27
+    out *= _NP_MIX2
+    out ^= out >> _NP_SHIFT31
+    return out
 
 
 def _string_key(text: str) -> int:
@@ -328,7 +342,6 @@ class SeededModel(TransducerModel):
         self._seed_key = _mix64(self.seed & _MASK64)
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
         self._lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
-        self._token_ids = np.arange(vocab_size)
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)
@@ -345,7 +358,7 @@ class SeededModel(TransducerModel):
         ids = np.arange(frames, dtype=np.uint64)
         key = np.uint64(handle)
         spike_unit = (
-            _mix64_array(key ^ _mix64_array(ids + np.uint64(_SPIKE_SALT))) >> np.uint64(11)
+            _mix64_array(key ^ _mix64_array(ids + np.uint64(_SPIKE_SALT))) >> _UNIT_SHIFT
         ).astype(np.float64) * (2.0 ** -53)
         depth_keys, preferred = self._depth_terms(handle, ids)
         return SeededTables(
@@ -374,11 +387,23 @@ class SeededModel(TransducerModel):
         return PredictorState(key=key, depth=state.depth + 1)
 
     def _segment_scores(self, encoder, t_begin, t_end, states):
+        """The grid in a fixed number of array passes, whatever its shape.
+
+        The depth keys and the state keys are hashed against the frame keys
+        in one mix over a stacked (2·states, frames) array: the first half
+        gives each cell's acoustic key, the second its context key. One
+        more mix covers a (states, frames, vocab+1) lane array whose token
+        lanes are the context key xor each token's salt and whose last lane
+        is the acoustic key xor the gate salt; its unit floats are the token
+        jitter and the blank gate. Token and blank columns are written into
+        one preallocated grid.
+        """
         tables = encoder.payload
         if not isinstance(tables, SeededTables):
             raise ValueError(
                 "encoder output carries no seeded tables; build it with SeededModel.encode"
             )
+        count = len(states)
         depths = np.array([s.depth for s in states], dtype=np.int64)
         frame_keys = tables.frame_keys[t_begin:t_end]
         demanded = tables.demanded[t_begin:t_end]
@@ -388,35 +413,34 @@ class SeededModel(TransducerModel):
         else:
             depth_keys, preferred = self._depth_terms(tables.handle, depths)
 
-        acoustic = _mix64_array(depth_keys[:, None] ^ frame_keys[None, :])
-        gate_unit = (
-            (_mix64_array(acoustic ^ np.uint64(_GATE_SALT)) >> np.uint64(11)).astype(np.float64)
-            * (2.0 ** -53)
-        )
+        keys = np.empty(2 * count, dtype=np.uint64)
+        keys[:count] = depth_keys
+        keys[count:] = [s.key for s in states]
+        mixed = _mix64_array(keys[:, None] ^ frame_keys[None, :])
+        acoustic, context = mixed[:count], mixed[count:]
+        lanes = np.empty((count, len(frame_keys), self.vocab.num_symbols), dtype=np.uint64)
+        np.bitwise_xor(context[:, :, None], self._lanes, out=lanes[:, :, :-1])
+        np.bitwise_xor(acoustic, _NP_GATE_SALT, out=lanes[:, :, -1])
+        lanes = _mix64_array(lanes)
+        lanes >>= _UNIT_SHIFT
+        units = np.multiply(lanes, 2.0 ** -53)
+
         owed = demanded[None, :] - depths[:, None]
         gate = (
             self._prior_logit
-            + _BLANK_GATE_SPREAD * (gate_unit - 0.5)
+            + _BLANK_GATE_SPREAD * (units[:, :, -1] - 0.5)
             - _CATCHUP_PULL * owed
         )
-        log_blank = -np.logaddexp(0.0, -gate)
-        log_nonblank = -np.logaddexp(0.0, gate)
-
-        state_keys = np.array([s.key for s in states], dtype=np.uint64)
-        context = _mix64_array(state_keys[:, None] ^ frame_keys[None, :])
-        jitter_unit = (
-            (
-                _mix64_array(context[:, :, None] ^ self._lanes[None, None, :])
-                >> np.uint64(11)
-            ).astype(np.float64)
-            * (2.0 ** -53)
-        )
-        token_logits = _TOKEN_JITTER * jitter_unit
-        token_logits += _PREFERRED_BOOST * (
-            self._token_ids[None, None, :] == preferred[:, None, None]
-        )
-        log_tokens = log_normalize(token_logits, axis=-1) + log_nonblank[:, :, None]
-        return np.concatenate([log_tokens, log_blank[:, :, None]], axis=2)
+        token_logits = _TOKEN_JITTER * units[:, :, :-1]
+        # Jitter is never negative, so adding the boost only where it applies
+        # equals adding a boost of zero everywhere else.
+        token_logits[np.arange(count), :, preferred] += _PREFERRED_BOOST
+        grid = np.empty(units.shape)
+        log_tokens = np.subtract(token_logits, log_sum_exp(token_logits, -1), out=grid[:, :, :-1])
+        # Adds log P(non-blank) = -logaddexp(0, gate); x - y is x + (-y) exactly.
+        log_tokens -= np.logaddexp(0.0, gate)[:, :, None]
+        np.negative(np.logaddexp(0.0, -gate), out=grid[:, :, -1])
+        return grid
 
 
 class TabularModel(TransducerModel):
@@ -496,10 +520,9 @@ class TokenCapModel(TransducerModel):
 
     def _segment_scores(self, encoder, t_begin, t_end, states):
         grid = np.array(self.inner._segment_scores(encoder, t_begin, t_end, states))
-        for i, state in enumerate(states):
-            if state.depth >= self.cap:
-                grid[i, :, :-1] = LOG_ZERO
-                grid[i, :, -1] = LOG_ONE
+        deep = np.array([state.depth >= self.cap for state in states], dtype=bool)
+        grid[deep, :, :-1] = LOG_ZERO
+        grid[deep, :, -1] = LOG_ONE
         return grid
 
 

@@ -18,6 +18,7 @@ sequences, up to ``DP_MAX_FRAMES`` frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
@@ -77,18 +78,24 @@ class _Trie:
         """Mass entering ``prefix + (token,)`` at each frame: column plus emission."""
         return [mass + row[token] for mass, row in zip(self.column(prefix), self.rows(prefix))]
 
-    def column(self, prefix: tuple[int, ...]) -> list[float]:
+    def column(
+        self, prefix: tuple[int, ...], entering: Optional[list[float]] = None
+    ) -> list[float]:
         """The prefix's column: ``log_add(entering[t], column[t-1] + blank[t-1])``.
 
         The empty prefix starts with all the mass. The extra last entry is
-        the prefix's marginal. Callers walk prefixes parent first, so the
-        recursion to the parent's column stays one level deep.
+        the prefix's marginal. A caller that already holds the prefix's
+        :meth:`entering` list passes it; otherwise it is built here. Callers
+        walk prefixes parent first, so the recursion to the parent's column
+        stays one level deep.
         """
         got = self._columns.get(prefix)
         if got is None:
             rows = self.rows(prefix)
             if prefix:
-                carried, entering = LOG_ZERO, self.entering(prefix[:-1], prefix[-1])
+                carried = LOG_ZERO
+                if entering is None:
+                    entering = self.entering(prefix[:-1], prefix[-1])
             else:
                 carried, entering = LOG_ONE, [LOG_ZERO] * len(rows)
             blank = self._model.vocab.blank_id
@@ -121,18 +128,18 @@ def exact_marginals(
     trie = _Trie(model, encoder)
     marginals: dict = {}
     excluded = LOG_ZERO
-    prefixes = [()]
-    for prefix in prefixes:  # grows as children are appended
-        marginal = trie.column(prefix)[-1]
+    pending = [((), None)]
+    for prefix, entering in pending:  # grows as children are appended
+        marginal = trie.column(prefix, entering)[-1]
         if marginal > LOG_ZERO:
             marginals[prefix] = marginal
         for token in range(model.vocab.size):
-            entering = trie.entering(prefix, token)
+            child = trie.entering(prefix, token)
             if len(prefix) == max_tokens:
-                for mass in entering:
+                for mass in child:
                     excluded = log_add(excluded, mass)
-            elif max(entering, default=LOG_ZERO) > LOG_ZERO:
-                prefixes.append(prefix + (token,))
+            elif max(child, default=LOG_ZERO) > LOG_ZERO:
+                pending.append((prefix + (token,), child))
     return ExactMarginals(marginals, excluded)
 
 

@@ -344,6 +344,34 @@ def test_batch_expansions_equal_the_reference_kernel_exactly(case) -> None:
         assert _identical(got_part, want_part)
 
 
+# One-frame segments, where the kernel skips the log-sum-exp: signed zeros and
+# every non-finite mass, compared down to the sign bit.
+_edge_masses = st.sampled_from([0.0, -0.0, LOG_ZERO, math.inf, math.nan])
+
+
+@st.composite
+def _one_frame_cases(draw):
+    batch = draw(st.integers(1, 4))
+    symbols = draw(st.integers(2, 6))
+    mass = draw(arrays(np.float64, (batch, 1), elements=st.one_of(_log_masses, _edge_masses)))
+    grids = draw(
+        arrays(np.float64, (batch, 1, symbols), elements=st.one_of(_log_probs, st.just(-0.0)))
+    )
+    return mass, grids
+
+
+@EXPANSION_SETTINGS
+@given(case=_one_frame_cases())
+def test_one_frame_expansions_equal_the_reference_kernel_bit_for_bit(case) -> None:
+    mass, grids = case
+    with np.errstate(all="ignore"):
+        got = _batch_expansions(mass, grids)
+        want = _reference_batch_expansions(mass, grids)
+    for got_part, want_part in zip(got, want):
+        assert _identical(got_part, want_part)
+        assert np.array_equal(np.signbit(got_part), np.signbit(want_part))
+
+
 def test_search_segment_rejects_ranges_outside_the_utterance() -> None:
     model = SeededModel(vocab_size=3, frames=5, seed=44)
     encoder = model.encode(uid="seg")

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
+from tokenwise.harness import load_corpus
 from tokenwise.logmath import LOG_ZERO, log_normalize, log_sum_exp
 from tokenwise.model import (
     EncoderOutput,
@@ -48,6 +51,31 @@ def test_seeded_join_matches_frozen_values() -> None:
     grid = model.join(encoder, (0, 4), [model.init_predictor()], JoinerCounters())
     assert grid.shape == (1, 4, 4)
     assert np.abs(grid[0] - GOLDEN_EMPTY_PREFIX).max() < 1e-15
+
+
+# sha256 of the raw bits of every grid below, recorded before the joiner's
+# passes were fused. Any change to a single bit of any cell changes it.
+BENCH_PROBE_SHA256 = "d83851962f432143f98c6fd78bca67ad8a00e2a6b8df5c9f3203dccfe25def92"
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def test_seeded_join_grids_on_the_bench_probe_shapes_are_frozen() -> None:
+    # The first 8 bench utterances, each joined at 1, 2, 4 and 8 chained
+    # states over its first 1, 2, 5 and 10 frames.
+    model = load_model_file(DATA_DIR / "bench_model.json")
+    utterances = load_corpus(DATA_DIR / "bench_corpus.jsonl", model.vocab)[:8]
+    digest = hashlib.sha256()
+    for utterance in utterances:
+        encoder = model.encode(utterance.frames, utterance.uid)
+        chain = [model.init_predictor()]
+        while len(chain) < 8:
+            chain.append(model.advance_predictor(chain[-1], len(chain) % model.vocab.size))
+        for states in (1, 2, 4, 8):
+            for width in (1, 2, 5, 10):
+                frames = (0, min(width, encoder.frames))
+                grid = model.join(encoder, frames, chain[:states], JoinerCounters())
+                digest.update(grid.view(np.uint64).tobytes())
+    assert digest.hexdigest() == BENCH_PROBE_SHA256
 
 
 def test_seeded_rows_are_normalized() -> None:

@@ -32,7 +32,7 @@ from tokenwise.model import (
 )
 from tokenwise.oracle import ENUM_MAX_FRAMES, exact_marginals, exact_sequence_marginals
 
-from reference import path_marginals, total_log_mass
+from reference import path_marginals, seeded_segment_scores, total_log_mass
 
 # Derandomized, so every run checks the same examples and a failure reproduces.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -164,6 +164,31 @@ def test_tabled_joiner_terms_equal_the_payload_less_recompute(model, frames, pat
     for row, state in zip(batched, states):
         alone = model.join(encoder, (t_begin, t_end), [state], JoinerCounters())[0]
         assert np.array_equal(row, alone)
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=seeded_models(vocab_sizes=st.integers(1, 40)),
+    frames=st.integers(1, 12),
+    paths=st.lists(st.lists(st.integers(0, 39), max_size=16), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_seeded_join_equals_the_reference_formula_bit_for_bit(model, frames, paths, data) -> None:
+    # Paths may run past the depth table (depths 0..frames-1), and the grids
+    # are compared as raw bits, so a sign of zero counts.
+    encoder = model.encode(frames, uid="fused")
+    states = []
+    for path in paths:
+        state = model.init_predictor()
+        for token in path:
+            state = model.advance_predictor(state, token % model.vocab.size)
+        states.append(state)
+    t_begin = data.draw(st.integers(0, frames - 1))
+    t_end = data.draw(st.integers(t_begin + 1, frames))
+    got = model.join(encoder, (t_begin, t_end), states, JoinerCounters())
+    want = seeded_segment_scores(model, encoder, t_begin, t_end, states)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @PROPERTY_SETTINGS
