@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import statistics
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -103,6 +102,11 @@ def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Ut
         reference = record["reference"]
         if not isinstance(uid, str) or not uid:
             raise CorpusFormatError(f"{path}:{number}: id must be a non-empty string")
+        try:
+            uid.encode("utf-8")
+        except UnicodeEncodeError:
+            # A lone surrogate, such as the JSON escape "\ud800", has no UTF-8 form.
+            raise CorpusFormatError(f"{path}:{number}: id must be valid Unicode text") from None
         if not isinstance(frames, int) or isinstance(frames, bool) or frames < 0:
             raise CorpusFormatError(f"{path}:{number}: frames must be a non-negative integer")
         if not isinstance(reference, list) or not all(
@@ -341,6 +345,9 @@ def run_benchmark(
     spec = read_model_spec(model_path)
     model = load_model(spec)
     utterances = load_corpus(corpus_path, model.vocab)
+    # Imported here because it pulls in fractions and decimal, which only a
+    # bench's median needs.
+    import statistics
 
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before

@@ -15,13 +15,17 @@ states by prefix length only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence
+
+# The same object as ``hashlib.blake2b``: hashlib never hands BLAKE2 to
+# OpenSSL, and importing hashlib would load libcrypto (+3.5 MB RSS, about
+# 3 ms of import) for nothing.
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -84,7 +88,7 @@ def _mix64_array(values: np.ndarray) -> np.ndarray:
 
 
 def _string_key(text: str) -> int:
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

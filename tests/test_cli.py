@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from tokenwise import cli, harness
 from tokenwise.cli import main
 from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
-from tokenwise.model import load_model_file
+from tokenwise.model import _string_key, load_model_file
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -519,6 +520,35 @@ def test_import_does_not_load_the_process_pool() -> None:
     assert proc.stdout == "False\n"
 
 
+def test_decoding_loads_neither_openssl_nor_statistics() -> None:
+    # OpenSSL's libcrypto (via hashlib) and statistics (with fractions and
+    # decimal) cost memory and import time a decode never uses. numpy is
+    # imported first, so only what tokenwise itself loads is counted.
+    code = f"""
+import sys
+import numpy
+before = set(sys.modules)
+from tokenwise import DecodeConfig, decode_utterance_tokenwise, load_corpus, load_model_file
+model = load_model_file({str(DATA_DIR / "bench_model.json")!r})
+utterance = load_corpus({str(DATA_DIR / "bench_corpus.jsonl")!r}, model.vocab)[0]
+config = DecodeConfig(beam_size=4, segment_size=10, nbest=4)
+decode_utterance_tokenwise(model, model.encode(utterance.frames, utterance.uid), config)
+print(sorted({{"_hashlib", "statistics"}} & (set(sys.modules) - before)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=_child_env(),
+    )
+    assert proc.stdout == "[]\n"
+    # The builtin BLAKE2b gives the key hashlib's does.
+    for uid in ("", "utt-0000", "äußerung-日本"):
+        digest = hashlib.blake2b(uid.encode("utf-8"), digest_size=8).digest()
+        assert _string_key(uid) == int.from_bytes(digest, "big")
+
+
 # A size that fails its allocation at once: 10**12 tokens or frames asks
 # numpy for 7.28 TiB, which no host grants, so nothing is touched.
 HUGE = 10**12
@@ -683,7 +713,7 @@ def _corpus_texts(draw, vocab: int, broken: Optional[str]) -> str:
         mutation = draw(
             st.sampled_from(
                 ["empty", "type", "missing", "unknown", "out-of-vocabulary"]
-                + ["duplicate-id", "not-object", "not-json"]
+                + ["duplicate-id", "surrogate-id", "not-object", "not-json"]
             )
         )
     if mutation == "empty":
@@ -702,6 +732,8 @@ def _corpus_texts(draw, vocab: int, broken: Optional[str]) -> str:
             record["extra"] = 0
         elif mutation == "out-of-vocabulary":
             record["reference"] = [draw(st.sampled_from([vocab, -1, HUGE]))]
+        elif mutation == "surrogate-id":
+            record["id"] = "a\ud800"
         lines[index] = {"not-object": "[]", "not-json": "{"}.get(mutation, json.dumps(record))
         if mutation == "duplicate-id":
             lines.append(lines[index])

@@ -6,6 +6,7 @@ import concurrent.futures
 import functools
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,14 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
     )
     with pytest.raises(CorpusFormatError, match="duplicate"):
         load_corpus(dup)
+    # JSON can escape a lone surrogate, which no UTF-8 text holds.
+    surrogate = _write_lines(
+        tmp_path / "surrogate.jsonl", ['{"id": "a\\ud800", "frames": 2, "reference": []}']
+    )
+    with pytest.raises(
+        CorpusFormatError, match=re.escape(f"{surrogate}:1: id must be valid Unicode text")
+    ):
+        load_corpus(surrogate)
 
 
 def test_load_corpus_checks_vocabulary(tmp_path: Path) -> None:
