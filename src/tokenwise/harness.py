@@ -86,6 +86,9 @@ def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Ut
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from exc
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -316,9 +319,10 @@ def run_benchmark(
     Every beam size is paired with every segment size; segment size one
     must be present because each beam size's other cells report deltas
     against it. ``nbest`` is clamped to the cell's beam size. Wall time per
-    cell is the median over ``repeats`` full passes; decode output of the
-    first pass is the one scored. Each cell holds :func:`corpus_summary`'s
-    numbers; a delta computed from a ``None`` rate is ``None``.
+    cell is the median over ``repeats`` full passes, which decode alike; the
+    last pass's output is the one scored. Each cell holds
+    :func:`corpus_summary`'s numbers; a delta computed from a ``None`` rate
+    is ``None``.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -364,16 +368,10 @@ def run_benchmark(
             pool.submit(int).result()
         for (beam, segment), config in configs.items():
             times = []
-            results: Optional[list[NBestList]] = None
-            counters: Optional[JoinerCounters] = None
             for _ in range(repeats):
                 started = time.perf_counter()
-                pass_results, pass_counters = decode_corpus(
-                    model, utterances, config, pool, chunksize
-                )
+                results, counters = decode_corpus(model, utterances, config, pool, chunksize)
                 times.append(time.perf_counter() - started)
-                if results is None:
-                    results, counters = pass_results, pass_counters
             cells[BenchmarkReport.cell_key(beam, segment)] = {
                 "beam_size": beam,
                 "segment_size": segment,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -183,18 +183,8 @@ class ModelSpec:
             raise ModelFormatError("blank_prior must lie strictly between 0 and 1")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "kind": self.kind,
-            "vocab_size": self.vocab_size,
-            "frames": self.frames,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.blank_prior is not None:
-            out["blank_prior"] = self.blank_prior
-        if self.payload is not None:
-            out["payload"] = self.payload
-        return out
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: value for name, value in values.items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
@@ -553,6 +543,8 @@ def read_model_spec(path: str | Path) -> ModelSpec:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") from exc
     return ModelSpec.from_dict(data)

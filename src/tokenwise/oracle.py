@@ -18,7 +18,6 @@ sequences, up to ``DP_MAX_FRAMES`` frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
@@ -39,74 +38,56 @@ class ExactMarginals:
 
 
 class _Trie:
-    """The prefix trie of one utterance: each prefix's state, rows and column, made once."""
+    """The prefix trie of one utterance, each node made once.
+
+    A node is the triple ``(state, rows, column)`` of a prefix: its
+    predictor state, its joiner rows as Python floats (``[frame][symbol]``;
+    the folds read one value at a time, cheaper from a list than from an
+    array) and its column, whose extra last entry is the prefix's marginal.
+    Callers ask for prefixes parent first.
+    """
 
     def __init__(self, model: TransducerModel, encoder: EncoderOutput) -> None:
         self._model = model
         self._encoder = encoder
         self._scratch = JoinerCounters()
-        self._states = {(): model.init_predictor()}
-        self._rows: dict = {}
-        self._columns: dict = {}
+        self._nodes: dict = {}
+        self._add((), model.init_predictor(), LOG_ONE, [LOG_ZERO] * encoder.frames)
 
-    def state(self, prefix: tuple[int, ...]):
-        got = self._states.get(prefix)
-        if got is None:
-            parent = self.state(prefix[:-1])
-            got = self._model.advance_predictor(parent, prefix[-1])
-            self._states[prefix] = got
-        return got
+    def _add(self, prefix: tuple[int, ...], state, carried: float, entering: list[float]) -> None:
+        """Join ``state``; fold ``column[t] = log_add(entering[t], column[t-1] + blank[t-1])``.
 
-    def rows(self, prefix: tuple[int, ...]) -> list[list[float]]:
-        """The prefix's joiner rows as Python floats, ``[frame][symbol]``.
-
-        The folds read one value at a time, cheaper from a list than from an
-        array. The state is advanced first, so every token is checked, even
-        at zero frames, where the rows are ``[]`` and nothing is joined.
+        At zero frames the rows are ``[]`` and nothing is joined.
         """
-        got = self._rows.get(prefix)
-        if got is None:
-            state, frames = self.state(prefix), self._encoder.frames
-            got = []
-            if frames:
-                grid = self._model.join(self._encoder, (0, frames), [state], self._scratch)
-                got = grid[0].tolist()
-            self._rows[prefix] = got
-        return got
+        frames = self._encoder.frames
+        rows = []
+        if frames:
+            rows = self._model.join(self._encoder, (0, frames), [state], self._scratch)[0].tolist()
+        blank = self._model.vocab.blank_id
+        column = []
+        for mass, row in zip(entering, rows):
+            carried = log_add(mass, carried)
+            column.append(carried)
+            carried += row[blank]
+        column.append(carried)
+        self._nodes[prefix] = (state, rows, column)
 
     def entering(self, prefix: tuple[int, ...], token: int) -> list[float]:
         """Mass entering ``prefix + (token,)`` at each frame: column plus emission."""
-        return [mass + row[token] for mass, row in zip(self.column(prefix), self.rows(prefix))]
+        _, rows, column = self._nodes[prefix]
+        return [mass + row[token] for mass, row in zip(column, rows)]
 
-    def column(
-        self, prefix: tuple[int, ...], entering: Optional[list[float]] = None
-    ) -> list[float]:
-        """The prefix's column: ``log_add(entering[t], column[t-1] + blank[t-1])``.
+    def column(self, prefix: tuple[int, ...]) -> list[float]:
+        """The prefix's column, its node added from the parent's if missing.
 
-        The empty prefix starts with all the mass. The extra last entry is
-        the prefix's marginal. A caller that already holds the prefix's
-        :meth:`entering` list passes it; otherwise it is built here. Callers
-        walk prefixes parent first, so the recursion to the parent's column
-        stays one level deep.
+        The last token advances the parent's state before any row is read,
+        so every token is checked, even at zero frames.
         """
-        got = self._columns.get(prefix)
-        if got is None:
-            rows = self.rows(prefix)
-            if prefix:
-                carried = LOG_ZERO
-                if entering is None:
-                    entering = self.entering(prefix[:-1], prefix[-1])
-            else:
-                carried, entering = LOG_ONE, [LOG_ZERO] * len(rows)
-            blank = self._model.vocab.blank_id
-            got = []
-            for mass, row in zip(entering, rows):
-                carried = log_add(mass, carried)
-                got.append(carried)
-                carried += row[blank]
-            got.append(carried)
-            self._columns[prefix] = got
-        return got
+        if prefix not in self._nodes:
+            parent, token = prefix[:-1], prefix[-1]
+            state = self._model.advance_predictor(self._nodes[parent][0], token)
+            self._add(prefix, state, LOG_ZERO, self.entering(parent, token))
+        return self._nodes[prefix][2]
 
 
 def exact_marginals(
@@ -114,10 +95,10 @@ def exact_marginals(
 ) -> ExactMarginals:
     """Alignment-sum marginal of every sequence of at most ``max_tokens``.
 
-    Expands the prefix trie breadth first, children in token-id order. A
-    child no mass enters is not expanded, and only marginals above zero are
-    stored. Every emission out of a prefix at the cap log-adds into
-    ``excluded_log_mass``. Only tiny instances are accepted.
+    Folds every prefix up to the cap once, breadth first, children in
+    token-id order; only marginals above zero are stored. Every emission
+    out of a prefix at the cap log-adds into ``excluded_log_mass``. Only
+    tiny instances are accepted.
     """
     if encoder.frames > ENUM_MAX_FRAMES:
         raise ValueError(f"enumeration handles at most {ENUM_MAX_FRAMES} frames")
@@ -128,18 +109,17 @@ def exact_marginals(
     trie = _Trie(model, encoder)
     marginals: dict = {}
     excluded = LOG_ZERO
-    pending = [((), None)]
-    for prefix, entering in pending:  # grows as children are appended
-        marginal = trie.column(prefix, entering)[-1]
+    pending = [()]
+    for prefix in pending:  # grows as children are appended
+        marginal = trie.column(prefix)[-1]
         if marginal > LOG_ZERO:
             marginals[prefix] = marginal
         for token in range(model.vocab.size):
-            child = trie.entering(prefix, token)
-            if len(prefix) == max_tokens:
-                for mass in child:
+            if len(prefix) < max_tokens:
+                pending.append(prefix + (token,))
+            else:
+                for mass in trie.entering(prefix, token):
                     excluded = log_add(excluded, mass)
-            elif max(child, default=LOG_ZERO) > LOG_ZERO:
-                pending.append((prefix + (token,), child))
     return ExactMarginals(marginals, excluded)
 
 

@@ -642,6 +642,24 @@ def test_an_output_naming_an_input_or_the_other_output_exits_two(tmp_path: Path,
         _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
 
 
+def test_an_input_that_is_not_utf8_exits_two_naming_its_file(tmp_path: Path, capsys) -> None:
+    model, corpus = tmp_path / "model.json", tmp_path / "corpus.jsonl"
+    model.write_bytes(b'{"kind": "\xff"}')
+    corpus.write_bytes(b'{"id": "a", "frames": 2, "reference": []}\n{"id": "\xff"}\n')
+    tiny_model, tiny_corpus = str(DATA_DIR / "tiny_model.json"), str(DATA_DIR / "tiny_corpus.jsonl")
+    for model_arg, corpus_arg, message in (
+        (str(model), tiny_corpus, f"model file {model} is not UTF-8 text: invalid start byte"),
+        (tiny_model, str(corpus), f"{corpus}:2: not UTF-8 text: invalid start byte"),
+    ):
+        inputs = ["--model", model_arg, "--corpus", corpus_arg]
+        for argv in (
+            ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
+            ["bench", *inputs, "--out", str(tmp_path / "r.json")],
+            ["verify", *inputs],
+        ):
+            _exits_two_leaving_nothing(argv, tmp_path, capsys, re.escape(message))
+
+
 # The input contract on generated inputs. Each case breaks at most one input
 # ("site"), so valid cases are common and every fault is seen on its own.
 # Sizes are drawn from small valid values plus 0, -1 and HUGE, never in

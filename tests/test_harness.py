@@ -134,6 +134,10 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
         CorpusFormatError, match=re.escape(f"{surrogate}:1: id must be valid Unicode text")
     ):
         load_corpus(surrogate)
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes(b'{"id": "a", "frames": 2, "reference": []}\n{"id": "\xff"}\n')
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{latin1}:2: not UTF-8 text")):
+        load_corpus(latin1)
 
 
 def test_load_corpus_checks_vocabulary(tmp_path: Path) -> None:
@@ -294,13 +298,13 @@ def test_run_benchmark_writes_report(tmp_path: Path) -> None:
 
 def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
     model_path, corpus_path = _tiny_bench_paths(tmp_path)
-    serial = run_benchmark(model_path, corpus_path, beam_sizes=[2], segment_sizes=[1, 2])
-    parallel = run_benchmark(
-        model_path, corpus_path, beam_sizes=[2], segment_sizes=[1, 2], workers=2
-    )
-    serial_clean = BenchmarkReport.strip_timing(serial.to_dict())
-    parallel_clean = BenchmarkReport.strip_timing(parallel.to_dict())
-    assert serial_clean == parallel_clean
+    for repeats in (1, 2):
+        grid = dict(beam_sizes=[2], segment_sizes=[1, 2], repeats=repeats)
+        serial = run_benchmark(model_path, corpus_path, **grid)
+        parallel = run_benchmark(model_path, corpus_path, **grid, workers=2)
+        serial_clean = BenchmarkReport.strip_timing(serial.to_dict())
+        parallel_clean = BenchmarkReport.strip_timing(parallel.to_dict())
+        assert serial_clean == parallel_clean
 
 
 def test_run_benchmark_builds_one_pool_per_run(tmp_path: Path, monkeypatch) -> None:

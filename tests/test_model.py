@@ -389,6 +389,10 @@ def test_read_model_spec_bad_file(tmp_path) -> None:
     garbled.write_text("{not json", encoding="utf-8")
     with pytest.raises(ModelFormatError):
         read_model_spec(garbled)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(ModelFormatError, match=f"model file .*{latin1.name} is not UTF-8 text"):
+        read_model_spec(latin1)
 
 
 def test_encoder_payload_ignored_by_equality() -> None:

@@ -194,6 +194,24 @@ def test_shared_prefixes_are_joined_once() -> None:
         assert [value.hex() for value in together] == [value.hex() for value in alone]
 
 
+def test_every_prefix_up_to_the_cap_is_joined_once() -> None:
+    # Prefixes that no mass enters are folded too, so each cap costs
+    # V**0 + ... + V**cap joins whatever the model gives zero probability:
+    # 15 for the capped model, where only 3 prefixes get mass.
+    probs = np.full((3, 1, 3), LOG_ZERO)
+    probs[:, :, 0] = math.log(0.5)
+    probs[:, :, 2] = math.log(0.5)
+    never_one = TabularModel(vocab_size=2, payload=probs.tolist())
+    capped = TokenCapModel(SeededModel(2, 3, 7), 1)
+    for model, cap in ((SeededModel(3, 4, 5), 3), (capped, 3), (never_one, 4)):
+        counting = _JoinCounting(model)
+        exact_marginals(counting, model.encode(uid="cap"), cap)
+        assert counting.joins == sum(model.vocab.size**k for k in range(cap + 1))
+    counting = _JoinCounting(SeededModel(2, 3, 7))
+    exact_marginals(counting, counting.encode(0, "none"), 3)
+    assert counting.joins == 0
+
+
 def test_blank_certain_model_prefers_empty_sequence() -> None:
     payload = np.full((3, 1, 3), LOG_ZERO)
     payload[:, :, -1] = 0.0
