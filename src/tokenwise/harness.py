@@ -59,10 +59,6 @@ REFERENCE_SEGMENT = 4
 VERIFY_BEAM_SIZES = (1, 2, 5)
 
 
-class CorpusFormatError(ValueError):
-    """Raised for malformed or inconsistent corpus files."""
-
-
 @dataclass(frozen=True)
 class Utterance:
     """One corpus entry: an id, a frame count, and a reference sequence."""
@@ -85,50 +81,50 @@ def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Ut
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
+        raise ValueError(f"cannot read corpus file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from exc
+        raise ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from exc
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{number}: invalid JSON: {exc}") from exc
+            raise ValueError(f"{path}:{number}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or set(record) != {"id", "frames", "reference"}:
-            raise CorpusFormatError(
+            raise ValueError(
                 f"{path}:{number}: expected exactly the fields id, frames, reference"
             )
         uid = record["id"]
         frames = record["frames"]
         reference = record["reference"]
         if not isinstance(uid, str) or not uid:
-            raise CorpusFormatError(f"{path}:{number}: id must be a non-empty string")
+            raise ValueError(f"{path}:{number}: id must be a non-empty string")
         try:
             uid.encode("utf-8")
         except UnicodeEncodeError:
             # A lone surrogate, such as the JSON escape "\ud800", has no UTF-8 form.
-            raise CorpusFormatError(f"{path}:{number}: id must be valid Unicode text") from None
+            raise ValueError(f"{path}:{number}: id must be valid Unicode text") from None
         if not isinstance(frames, int) or isinstance(frames, bool) or frames < 0:
-            raise CorpusFormatError(f"{path}:{number}: frames must be a non-negative integer")
+            raise ValueError(f"{path}:{number}: frames must be a non-negative integer")
         if not isinstance(reference, list) or not all(
             isinstance(t, int) and not isinstance(t, bool) for t in reference
         ):
-            raise CorpusFormatError(f"{path}:{number}: reference must be a list of integers")
+            raise ValueError(f"{path}:{number}: reference must be a list of integers")
         if uid in seen_ids:
-            raise CorpusFormatError(f"{path}:{number}: duplicate utterance id {uid!r}")
+            raise ValueError(f"{path}:{number}: duplicate utterance id {uid!r}")
         seen_ids.add(uid)
         if vocab is not None:
             bad = [t for t in reference if not (0 <= t < vocab.size)]
             if bad:
-                raise CorpusFormatError(
+                raise ValueError(
                     f"utterance {uid!r}: reference tokens {bad} outside vocabulary"
                     f" of size {vocab.size}"
                 )
         utterances.append(Utterance(uid, frames, tuple(reference)))
     if not utterances:
-        raise CorpusFormatError(f"corpus {path} is empty")
+        raise ValueError(f"corpus {path} is empty")
     return utterances
 
 
@@ -349,10 +345,6 @@ def run_benchmark(
     spec = read_model_spec(model_path)
     model = load_model(spec)
     utterances = load_corpus(corpus_path, model.vocab)
-    # Imported here because it pulls in fractions and decimal, which only a
-    # bench's median needs.
-    import statistics
-
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before
     # the first timed pass, so start-up is never billed as decode time.
@@ -372,11 +364,13 @@ def run_benchmark(
                 started = time.perf_counter()
                 results, counters = decode_corpus(model, utterances, config, pool, chunksize)
                 times.append(time.perf_counter() - started)
+            times.sort()
+            median = (times[(repeats - 1) // 2] + times[repeats // 2]) / 2
             cells[BenchmarkReport.cell_key(beam, segment)] = {
                 "beam_size": beam,
                 "segment_size": segment,
                 "nbest": config.nbest,
-                **corpus_summary(utterances, results, counters, statistics.median(times)),
+                **corpus_summary(utterances, results, counters, median),
             }
 
     for cell in cells.values():

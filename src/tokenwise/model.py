@@ -32,10 +32,6 @@ import numpy as np
 from .logmath import LOG_ONE, LOG_ZERO, log_normalize, log_sum_exp
 
 
-class ModelFormatError(ValueError):
-    """Raised for malformed model specs, files, or payloads."""
-
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -97,7 +93,7 @@ class Vocabulary:
     """Token inventory. Non-blank ids are ``0..size-1``; blank is ``size``.
 
     Blank is not a real token: it never appears in emitted sequences, only
-    as the extra final column of a lattice row.
+    as the extra final column of a grid row.
     """
 
     size: int
@@ -112,7 +108,7 @@ class Vocabulary:
 
     @property
     def num_symbols(self) -> int:
-        """Width of a lattice row: all tokens plus blank."""
+        """Width of a grid row: all tokens plus blank."""
         return self.size + 1
 
 
@@ -151,10 +147,8 @@ class JoinerCounters:
     forced_finalizations: int = 0
 
     def merge(self, other: "JoinerCounters") -> None:
-        self.calls += other.calls
-        self.frame_joins += other.frame_joins
-        self.frames_decoded += other.frames_decoded
-        self.forced_finalizations += other.forced_finalizations
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -170,17 +164,17 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("seeded", "tabular"):
-            raise ModelFormatError(f"unknown model kind: {self.kind!r}")
+            raise ValueError(f"unknown model kind: {self.kind!r}")
         if self.vocab_size < 1:
-            raise ModelFormatError("vocab_size must be positive")
+            raise ValueError("vocab_size must be positive")
         if self.frames < 0:
-            raise ModelFormatError("frames cannot be negative")
+            raise ValueError("frames cannot be negative")
         if self.kind == "seeded" and self.seed is None:
-            raise ModelFormatError("seeded model needs a seed")
+            raise ValueError("seeded model needs a seed")
         if self.kind == "tabular" and self.payload is None:
-            raise ModelFormatError("tabular model needs a payload")
+            raise ValueError("tabular model needs a payload")
         if self.blank_prior is not None and not (0.0 < self.blank_prior < 1.0):
-            raise ModelFormatError("blank_prior must lie strictly between 0 and 1")
+            raise ValueError("blank_prior must lie strictly between 0 and 1")
 
     def to_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -189,22 +183,21 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
         if not isinstance(data, dict):
-            raise ModelFormatError("model spec must be a JSON object")
-        known = {"kind", "vocab_size", "frames", "seed", "blank_prior", "payload"}
-        unknown = set(data) - known
+            raise ValueError("model spec must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ModelFormatError(f"unknown model spec fields: {sorted(unknown)}")
+            raise ValueError(f"unknown model spec fields: {sorted(unknown)}")
         # JSON true and false load as bool, a subclass of int, so both checks exclude bool.
         for name in ("vocab_size", "frames", "seed"):
             value = data.get(name, 0)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ModelFormatError(f"{name} must be an integer")
+                raise ValueError(f"{name} must be an integer")
         prior = data.get("blank_prior", 0.0)
         if not isinstance(prior, (int, float)) or isinstance(prior, bool):
-            raise ModelFormatError("blank_prior must be a number")
+            raise ValueError("blank_prior must be a number")
         for kind, name in (("seeded", "payload"), ("tabular", "seed"), ("tabular", "blank_prior")):
             if data.get("kind") == kind and name in data:
-                raise ModelFormatError(f"a {kind} model takes no {name}")
+                raise ValueError(f"a {kind} model takes no {name}")
         try:
             return cls(
                 kind=data["kind"],
@@ -215,7 +208,7 @@ class ModelSpec:
                 payload=data.get("payload"),
             )
         except KeyError as exc:
-            raise ModelFormatError(f"model spec is missing field {exc}") from exc
+            raise ValueError(f"model spec is missing field {exc}") from exc
 
 
 class TransducerModel(ABC):
@@ -332,7 +325,7 @@ class SeededModel(TransducerModel):
         self.seed = int(seed)
         self.blank_prior = DEFAULT_BLANK_PRIOR if blank_prior is None else float(blank_prior)
         if not (0.0 < self.blank_prior < 1.0):
-            raise ModelFormatError("blank_prior must lie strictly between 0 and 1")
+            raise ValueError("blank_prior must lie strictly between 0 and 1")
         self._seed_key = _mix64(self.seed & _MASK64)
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
         self._lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
@@ -451,19 +444,19 @@ class TabularModel(TransducerModel):
         try:
             table = np.asarray(payload, dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"payload is not a rectangular numeric table: {exc}") from exc
+            raise ValueError(f"payload is not a rectangular numeric table: {exc}") from exc
         if table.ndim != 3:
-            raise ModelFormatError("payload must be nested as frames x prefixes x symbols")
+            raise ValueError("payload must be nested as frames x prefixes x symbols")
         if table.shape[2] != self.vocab.num_symbols:
-            raise ModelFormatError(
+            raise ValueError(
                 f"payload rows have {table.shape[2]} symbols, expected {self.vocab.num_symbols}"
             )
         if table.shape[1] < 1:
-            raise ModelFormatError("payload needs at least one prefix row per frame")
+            raise ValueError("payload needs at least one prefix row per frame")
         if np.isnan(table).any() or np.isposinf(table).any():
-            raise ModelFormatError("payload logits must be finite or -inf")
+            raise ValueError("payload logits must be finite or -inf")
         if (table.max(axis=2) == LOG_ZERO).any():
-            raise ModelFormatError("payload contains a row with no finite logit")
+            raise ValueError("payload contains a row with no finite logit")
         self._table = log_normalize(table, axis=-1)
         self._table.setflags(write=False)
         self.frames = table.shape[0]
@@ -531,9 +524,7 @@ def load_model(spec: ModelSpec) -> TransducerModel:
         )
     model = TabularModel(vocab_size=spec.vocab_size, payload=spec.payload)
     if model.frames != spec.frames:
-        raise ModelFormatError(
-            f"payload holds {model.frames} frames but spec declares {spec.frames}"
-        )
+        raise ValueError(f"payload holds {model.frames} frames but spec declares {spec.frames}")
     return model
 
 
@@ -542,11 +533,11 @@ def read_model_spec(path: str | Path) -> ModelSpec:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+        raise ValueError(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc.reason}") from exc
+        raise ValueError(f"model file {path} is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
     return ModelSpec.from_dict(data)
 
 

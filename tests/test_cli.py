@@ -522,8 +522,9 @@ def test_import_does_not_load_the_process_pool() -> None:
 
 def test_decoding_loads_neither_openssl_nor_statistics() -> None:
     # OpenSSL's libcrypto (via hashlib) and statistics (with fractions and
-    # decimal) cost memory and import time a decode never uses. numpy is
-    # imported first, so only what tokenwise itself loads is counted.
+    # decimal) cost memory and import time a decode never uses, and a bench
+    # takes its median without statistics. numpy is imported first, so only
+    # what tokenwise itself loads is counted.
     code = f"""
 import sys
 import numpy
@@ -534,6 +535,15 @@ utterance = load_corpus({str(DATA_DIR / "bench_corpus.jsonl")!r}, model.vocab)[0
 config = DecodeConfig(beam_size=4, segment_size=10, nbest=4)
 decode_utterance_tokenwise(model, model.encode(utterance.frames, utterance.uid), config)
 print(sorted({{"_hashlib", "statistics"}} & (set(sys.modules) - before)))
+from tokenwise import run_benchmark
+run_benchmark(
+    {str(DATA_DIR / "tiny_model.json")!r},
+    {str(DATA_DIR / "tiny_corpus.jsonl")!r},
+    beam_sizes=[1],
+    segment_sizes=[1],
+    repeats=2,
+)
+print(sorted({{"_hashlib", "statistics"}} & (set(sys.modules) - before)))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -542,7 +552,7 @@ print(sorted({{"_hashlib", "statistics"}} & (set(sys.modules) - before)))
         check=True,
         env=_child_env(),
     )
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
     # The builtin BLAKE2b gives the key hashlib's does.
     for uid in ("", "utt-0000", "äußerung-日本"):
         digest = hashlib.blake2b(uid.encode("utf-8"), digest_size=8).digest()

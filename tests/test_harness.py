@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import re
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from tokenwise import harness
 from tokenwise.decoder import DecodeConfig, NBestList, decode_utterance_standard
 from tokenwise.harness import (
     BenchmarkReport,
-    CorpusFormatError,
     Utterance,
     generate_corpus,
     load_corpus,
@@ -29,6 +29,7 @@ from tokenwise.metrics import corpus_wer
 from tokenwise.model import (
     ModelSpec,
     SeededModel,
+    TabularModel,
     TokenCapModel,
     Vocabulary,
     load_model,
@@ -84,7 +85,7 @@ def test_load_corpus_reports_line_numbers(tmp_path: Path) -> None:
         tmp_path / "bad.jsonl",
         ['{"id": "a", "frames": 2, "reference": []}', "{not json"],
     )
-    with pytest.raises(CorpusFormatError, match=r":2: invalid JSON"):
+    with pytest.raises(ValueError, match=r":2: invalid JSON"):
         load_corpus(path)
 
 
@@ -93,10 +94,11 @@ def test_load_corpus_rejects_field_drift(tmp_path: Path) -> None:
         tmp_path / "extra.jsonl",
         ['{"id": "a", "frames": 2, "reference": [], "speaker": "x"}'],
     )
-    with pytest.raises(CorpusFormatError):
+    fields_message = ":1: expected exactly the fields id, frames, reference"
+    with pytest.raises(ValueError, match=re.escape(f"{extra}{fields_message}")):
         load_corpus(extra)
     missing = _write_lines(tmp_path / "missing.jsonl", ['{"id": "a", "frames": 2}'])
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(ValueError, match=re.escape(f"{missing}{fields_message}")):
         load_corpus(missing)
 
 
@@ -104,18 +106,22 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
     empty_id = _write_lines(
         tmp_path / "id.jsonl", ['{"id": "", "frames": 2, "reference": []}']
     )
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(
+        ValueError, match=re.escape(f"{empty_id}:1: id must be a non-empty string")
+    ):
         load_corpus(empty_id)
     bool_frames = _write_lines(
         tmp_path / "bool.jsonl", ['{"id": "a", "frames": true, "reference": []}']
     )
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(
+        ValueError, match=re.escape(f"{bool_frames}:1: frames must be a non-negative integer")
+    ):
         load_corpus(bool_frames)
     for reference in ('"0"', "[0, true]"):
         bad_reference = _write_lines(
             tmp_path / "ref.jsonl", [f'{{"id": "a", "frames": 2, "reference": {reference}}}']
         )
-        with pytest.raises(CorpusFormatError, match="reference must be a list of integers"):
+        with pytest.raises(ValueError, match="reference must be a list of integers"):
             load_corpus(bad_reference)
     dup = _write_lines(
         tmp_path / "dup.jsonl",
@@ -124,19 +130,19 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
             '{"id": "a", "frames": 3, "reference": []}',
         ],
     )
-    with pytest.raises(CorpusFormatError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate"):
         load_corpus(dup)
     # JSON can escape a lone surrogate, which no UTF-8 text holds.
     surrogate = _write_lines(
         tmp_path / "surrogate.jsonl", ['{"id": "a\\ud800", "frames": 2, "reference": []}']
     )
     with pytest.raises(
-        CorpusFormatError, match=re.escape(f"{surrogate}:1: id must be valid Unicode text")
+        ValueError, match=re.escape(f"{surrogate}:1: id must be valid Unicode text")
     ):
         load_corpus(surrogate)
     latin1 = tmp_path / "latin1.jsonl"
     latin1.write_bytes(b'{"id": "a", "frames": 2, "reference": []}\n{"id": "\xff"}\n')
-    with pytest.raises(CorpusFormatError, match=re.escape(f"{latin1}:2: not UTF-8 text")):
+    with pytest.raises(ValueError, match=re.escape(f"{latin1}:2: not UTF-8 text")):
         load_corpus(latin1)
 
 
@@ -145,13 +151,99 @@ def test_load_corpus_checks_vocabulary(tmp_path: Path) -> None:
         tmp_path / "oov.jsonl", ['{"id": "a", "frames": 2, "reference": [7]}']
     )
     assert load_corpus(path)[0].reference == (7,)
-    with pytest.raises(CorpusFormatError):
+    message = "utterance 'a': reference tokens [7] outside vocabulary of size 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_corpus(path, Vocabulary(3))
 
 
 def test_load_corpus_missing_file(tmp_path: Path) -> None:
-    with pytest.raises(CorpusFormatError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read"):
         load_corpus(tmp_path / "absent.jsonl")
+
+
+_SEEDED = {"kind": "seeded", "vocab_size": 2, "frames": 2, "seed": 1}
+
+
+def _read_model_bytes(tmp_path: Path, data: bytes) -> ModelSpec:
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    return read_model_spec(path)
+
+
+def _read_corpus_bytes(tmp_path: Path, data: bytes) -> list[Utterance]:
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    return load_corpus(path, Vocabulary(2))
+
+
+_INVALID_INPUTS = {
+    "spec-not-object": (lambda p: ModelSpec.from_dict([1]), "model spec must be a JSON object"),
+    "spec-kind": (lambda p: ModelSpec.from_dict({**_SEEDED, "kind": "x"}), "unknown model kind"),
+    "spec-unknown-field": (
+        lambda p: ModelSpec.from_dict({**_SEEDED, "zap": 3}),
+        "unknown model spec fields: ['zap']",
+    ),
+    "spec-field-type": (
+        lambda p: ModelSpec.from_dict({**_SEEDED, "frames": "2"}),
+        "frames must be an integer",
+    ),
+    "spec-vocab": (
+        lambda p: ModelSpec.from_dict({**_SEEDED, "vocab_size": 0}),
+        "vocab_size must be positive",
+    ),
+    "spec-missing-field": (
+        lambda p: ModelSpec.from_dict({"kind": "seeded"}),
+        "model spec is missing field",
+    ),
+    "spec-foreign-field": (
+        lambda p: ModelSpec.from_dict({**_SEEDED, "payload": []}),
+        "a seeded model takes no payload",
+    ),
+    "spec-blank-prior": (
+        lambda p: ModelSpec.from_dict({**_SEEDED, "blank_prior": 2.0}),
+        "blank_prior must lie strictly between 0 and 1",
+    ),
+    "model-unreadable": (lambda p: read_model_spec(p / "absent.json"), "cannot read model file"),
+    "model-not-utf8": (lambda p: _read_model_bytes(p, b"\xff"), "is not UTF-8 text"),
+    "model-not-json": (lambda p: _read_model_bytes(p, b"{"), "is not valid JSON"),
+    "tabular-payload": (
+        lambda p: TabularModel(2, [[[0.0, 0.0]]]),
+        "payload rows have 2 symbols, expected 3",
+    ),
+    "tabular-frames": (
+        lambda p: load_model(
+            ModelSpec(kind="tabular", vocab_size=2, frames=2, payload=[[[0.0, 0.0, 0.0]]])
+        ),
+        "payload holds 1 frames but spec declares 2",
+    ),
+    "seeded-blank-prior": (
+        lambda p: SeededModel(2, 2, 1, blank_prior=2.0),
+        "blank_prior must lie strictly between 0 and 1",
+    ),
+    "corpus-json": (lambda p: _read_corpus_bytes(p, b"{"), ":1: invalid JSON"),
+    "corpus-fields": (
+        lambda p: _read_corpus_bytes(p, b'{"id": "a"}'),
+        ":1: expected exactly the fields id, frames, reference",
+    ),
+    "corpus-frames": (
+        lambda p: _read_corpus_bytes(p, b'{"id": "a", "frames": -1, "reference": []}'),
+        ":1: frames must be a non-negative integer",
+    ),
+    "corpus-vocabulary": (
+        lambda p: _read_corpus_bytes(p, b'{"id": "a", "frames": 2, "reference": [5]}'),
+        "reference tokens [5] outside vocabulary of size 2",
+    ),
+    "corpus-empty": (lambda p: _read_corpus_bytes(p, b"\n"), "is empty"),
+    "corpus-not-utf8": (lambda p: _read_corpus_bytes(p, b'{"id": "\xff"}'), ":1: not UTF-8 text"),
+    "corpus-unreadable": (lambda p: load_corpus(p / "absent.jsonl"), "cannot read corpus file"),
+}
+
+
+@pytest.mark.parametrize("make, message", _INVALID_INPUTS.values(), ids=_INVALID_INPUTS)
+def test_invalid_input_raises_plain_value_error(tmp_path: Path, make, message) -> None:
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+        make(tmp_path)
+    assert excinfo.type is ValueError
 
 
 def test_generate_corpus_is_deterministic() -> None:
@@ -259,7 +351,7 @@ def test_run_benchmark_validation(tmp_path: Path) -> None:
             )
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(ValueError, match=re.escape(f"corpus {empty} is empty")):
         run_benchmark(model_path, empty, beam_sizes=[1], segment_sizes=[1])
 
 
@@ -305,6 +397,33 @@ def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
         serial_clean = BenchmarkReport.strip_timing(serial.to_dict())
         parallel_clean = BenchmarkReport.strip_timing(parallel.to_dict())
         assert serial_clean == parallel_clean
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 3, 4])
+def test_run_benchmark_times_each_cell_by_its_median_pass(
+    tmp_path: Path, monkeypatch, repeats: int
+) -> None:
+    model_path, corpus_path = _tiny_bench_paths(tmp_path)
+    rng = np.random.default_rng(repeats)
+    cells = ["N1/S1", "N1/S2"]
+    # One (start, stop) pair per pass, cell by cell; durations are unsorted.
+    stamps = [
+        (start, start + duration)
+        for start, duration in zip(
+            rng.uniform(10.0, 1000.0, len(cells) * repeats),
+            rng.uniform(0.001, 2.0, len(cells) * repeats),
+        )
+    ]
+    clock = iter(float(t) for pair in stamps for t in pair)
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: next(clock))
+    report = run_benchmark(
+        model_path, corpus_path, beam_sizes=[1], segment_sizes=[1, 2], repeats=repeats
+    )
+    assert next(clock, None) is None
+    for index, key in enumerate(cells):
+        passes = stamps[index * repeats : (index + 1) * repeats]
+        durations = [float(stop) - float(start) for start, stop in passes]
+        assert report.cells[key]["timing"]["wall_time_sec"] == statistics.median(durations)
 
 
 def test_run_benchmark_builds_one_pool_per_run(tmp_path: Path, monkeypatch) -> None:

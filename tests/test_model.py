@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,6 @@ from tokenwise.logmath import LOG_ZERO, log_normalize, log_sum_exp
 from tokenwise.model import (
     EncoderOutput,
     JoinerCounters,
-    ModelFormatError,
     ModelSpec,
     SeededModel,
     TabularModel,
@@ -241,6 +242,14 @@ def test_counters_merge_adds_fields() -> None:
     b = JoinerCounters(calls=1, frame_joins=3, frames_decoded=2, forced_finalizations=0)
     a.merge(b)
     assert (a.calls, a.frame_joins, a.frames_decoded, a.forced_finalizations) == (3, 13, 7, 1)
+    # Every field, however many there are, is added: distinct values catch a swap.
+    names = [f.name for f in fields(JoinerCounters)]
+    left = JoinerCounters(**{name: 10 ** i for i, name in enumerate(names)})
+    right = JoinerCounters(**{name: 7 * 10 ** i for i, name in enumerate(names)})
+    left.merge(right)
+    assert {name: getattr(left, name) for name in names} == {
+        name: 8 * 10 ** i for i, name in enumerate(names)
+    }
 
 
 def test_predictor_rejects_blank_and_out_of_range_tokens() -> None:
@@ -254,9 +263,9 @@ def test_predictor_rejects_blank_and_out_of_range_tokens() -> None:
 
 
 def test_blank_prior_bounds() -> None:
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="blank_prior must lie strictly between 0 and 1"):
         SeededModel(vocab_size=2, frames=3, seed=1, blank_prior=1.0)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="blank_prior must lie strictly between 0 and 1"):
         SeededModel(vocab_size=2, frames=3, seed=1, blank_prior=0.0)
 
 
@@ -294,19 +303,19 @@ def test_tabular_model_normalizes_and_clamps_depth() -> None:
 
 
 def test_tabular_model_validates_payload() -> None:
-    with pytest.raises(ModelFormatError, match="not a rectangular numeric table"):
+    with pytest.raises(ValueError, match="not a rectangular numeric table"):
         TabularModel(vocab_size=2, payload=[[[0.0, 0.0], [0.0]]])
-    with pytest.raises(ModelFormatError, match="rows have 4 symbols, expected 3"):
+    with pytest.raises(ValueError, match="rows have 4 symbols, expected 3"):
         TabularModel(vocab_size=2, payload=_uniform_payload(2, 1, 4))
     # As a list, a table with no prefix rows flattens to 2-D; as an array it keeps its shape.
-    with pytest.raises(ModelFormatError, match="at least one prefix row"):
+    with pytest.raises(ValueError, match="at least one prefix row"):
         TabularModel(vocab_size=2, payload=np.zeros((2, 0, 3)))
     nan_payload = np.zeros((1, 1, 3))
     nan_payload[0, 0, 0] = np.nan
-    with pytest.raises(ModelFormatError, match="must be finite or -inf"):
+    with pytest.raises(ValueError, match="must be finite or -inf"):
         TabularModel(vocab_size=2, payload=nan_payload.tolist())
     dead_row = np.full((1, 1, 3), LOG_ZERO)
-    with pytest.raises(ModelFormatError, match="a row with no finite logit"):
+    with pytest.raises(ValueError, match="a row with no finite logit"):
         TabularModel(vocab_size=2, payload=dead_row.tolist())
 
 
@@ -348,21 +357,21 @@ def test_model_spec_round_trip() -> None:
 
 
 def test_model_spec_validation() -> None:
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="unknown model kind: 'mystery'"):
         ModelSpec(kind="mystery", vocab_size=2, frames=2, seed=1)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="seeded model needs a seed"):
         ModelSpec(kind="seeded", vocab_size=2, frames=2)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="tabular model needs a payload"):
         ModelSpec(kind="tabular", vocab_size=2, frames=2)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="vocab_size must be positive"):
         ModelSpec(kind="seeded", vocab_size=0, frames=2, seed=1)
-    with pytest.raises(ModelFormatError, match="frames cannot be negative"):
+    with pytest.raises(ValueError, match="frames cannot be negative"):
         ModelSpec(kind="seeded", vocab_size=2, frames=-1, seed=1)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match=re.escape("unknown model spec fields: ['zap']")):
         ModelSpec.from_dict({"kind": "seeded", "vocab_size": 2, "frames": 2, "seed": 1, "zap": 3})
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="model spec is missing field 'frames'"):
         ModelSpec.from_dict({"kind": "seeded", "vocab_size": 2})
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="model spec must be a JSON object"):
         ModelSpec.from_dict([1, 2, 3])
 
 
@@ -377,21 +386,21 @@ def test_spec_file_round_trip(tmp_path) -> None:
 
 def test_tabular_spec_frame_mismatch_rejected() -> None:
     spec = ModelSpec(kind="tabular", vocab_size=2, frames=5, payload=_uniform_payload(2, 1, 3))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match="payload holds 2 frames but spec declares 5"):
         load_model(spec)
 
 
 def test_read_model_spec_bad_file(tmp_path) -> None:
     missing = tmp_path / "nope.json"
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match=re.escape(f"cannot read model file {missing}: ")):
         read_model_spec(missing)
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError, match=re.escape(f"model file {garbled} is not valid JSON: ")):
         read_model_spec(garbled)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"kind": "\xff"}')
-    with pytest.raises(ModelFormatError, match=f"model file .*{latin1.name} is not UTF-8 text"):
+    with pytest.raises(ValueError, match=f"model file .*{latin1.name} is not UTF-8 text"):
         read_model_spec(latin1)
 
 
