@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .decoder import DecodeConfig
 from .harness import (
+    check_round_budget,
     corpus_summary,
     decode_corpus,
     generate_corpus,
@@ -112,13 +113,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     model = load_model_file(args.model)
-    utterances = load_corpus(args.corpus, model.vocab)
+    utterances = load_corpus(args.corpus, model.vocab, model.max_frames)
     config = DecodeConfig(
         beam_size=args.beam_size,
         segment_size=args.segment_size,
         nbest=args.nbest,
         max_rounds_per_segment=args.max_rounds,
     )
+    check_round_budget(model, utterances, config)
     if args.out is not None:
         check_output_path(args.out, args.model, args.corpus)
     started = time.perf_counter()
@@ -195,7 +197,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = load_model_file(args.model)
-    utterances = load_corpus(args.corpus, model.vocab)
+    utterances = load_corpus(args.corpus, model.vocab, model.max_frames)
     results = verify(model, utterances, tolerance=args.tolerance, max_tokens=args.max_tokens)
     for result in results:
         mark = "PASS" if result.passed else "FAIL"

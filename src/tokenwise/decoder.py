@@ -111,7 +111,9 @@ class DecodeTrace:
 
         Exact arithmetic gives ``exp(score) == exp(blank) + sum(exp(tokens))``
         for every expandable hypothesis; the recorded defect is the absolute
-        difference of the two sides in the linear domain.
+        difference of the two sides in the linear domain. The token-wise
+        decoder passes each member's total from its mass row as ``scores``;
+        from eight frames numpy may sum it in another order than its score.
         """
         self.rounds += 1
         with np.errstate(invalid="ignore", over="ignore"):
@@ -204,7 +206,7 @@ def _search_segment(
 ) -> list[tuple[tuple[int, ...], float, PredictorState]]:
     """Advance a ranked beam of ``(tokens, score, state)`` across one segment.
 
-    Inside the segment the expandable group is held as B scores and an
+    Inside the segment the expandable group is held as tokens, states and an
     emission-mass array (B, frames), where entry ``t`` is the log-mass of the
     paths whose most recent token was emitted at segment frame ``t``. Every
     emission round makes exactly one batched joiner call for the group,
@@ -226,9 +228,8 @@ def _search_segment(
     vocab_size = model.vocab.size
     tokens = [entry[0] for entry in beam]
     states = [entry[2] for entry in beam]
-    scores = [entry[1] for entry in beam]
     mass = np.full((len(beam), t_end - t_begin), LOG_ZERO)
-    mass[:, 0] = scores
+    mass[:, 0] = [entry[1] for entry in beam]
     finished: dict[tuple[int, ...], tuple[float, PredictorState]] = {}
     rounds = 0
     while True:
@@ -236,7 +237,7 @@ def _search_segment(
         grid = model.join(encoder, (t_begin, t_end), states, counters)
         token_mass, token_scores, blank_scores = _batch_expansions(mass, grid)
         if trace is not None:
-            trace.record(np.array(scores), token_scores, blank_scores)
+            trace.record(log_sum_exp(mass, 1)[:, 0], token_scores, blank_scores)
         for seq, closed, state in zip(tokens, blank_scores.tolist(), states):
             earlier = finished.get(seq)
             finished[seq] = (
@@ -255,7 +256,6 @@ def _search_segment(
         pairs = [divmod(index, vocab_size) for index in chosen]
         parents, emitted = zip(*pairs)
         mass = token_mass[parents, :, emitted]
-        scores = [flat[index] for index in chosen]
         # Group members carry distinct sequences, so their children do too:
         # nothing inside one round needs merging.
         states = [model.advance_predictor(states[p], k) for p, k in pairs]

@@ -57,6 +57,8 @@ if TYPE_CHECKING:
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
 VERIFY_BEAM_SIZES = (1, 2, 5)
+# A 32 MiB float64 joiner grid; a round's lists of Python floats take a few times that.
+ROUND_CELL_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,14 @@ class Utterance:
         object.__setattr__(self, "reference", tuple(int(t) for t in self.reference))
 
 
-def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Utterance]:
-    """Read a non-empty JSONL corpus, optionally validating tokens against a vocabulary."""
+def load_corpus(
+    path: str | Path, vocab: Optional[Vocabulary] = None, max_frames: Optional[int] = None
+) -> list[Utterance]:
+    """Read a non-empty JSONL corpus.
+
+    Given ``vocab``, reference tokens must lie inside it; given ``max_frames``
+    (a model's limit), no utterance may be longer.
+    """
     path = Path(path)
     utterances: list[Utterance] = []
     seen_ids: set[str] = set()
@@ -108,6 +116,11 @@ def load_corpus(path: str | Path, vocab: Optional[Vocabulary] = None) -> list[Ut
             raise ValueError(f"{path}:{number}: id must be valid Unicode text") from None
         if not isinstance(frames, int) or isinstance(frames, bool) or frames < 0:
             raise ValueError(f"{path}:{number}: frames must be a non-negative integer")
+        if max_frames is not None and frames > max_frames:
+            raise ValueError(
+                f"{path}:{number}: utterance {uid!r} has {frames} frames;"
+                f" the model holds at most {max_frames}"
+            )
         if not isinstance(reference, list) or not all(
             isinstance(t, int) and not isinstance(t, bool) for t in reference
         ):
@@ -239,6 +252,26 @@ def _relative_delta(value: Optional[float], baseline: Optional[float]):
     return (value - baseline) / baseline
 
 
+def check_round_budget(
+    model: TransducerModel, utterances: Sequence[Utterance], config: DecodeConfig
+) -> None:
+    """Reject a config whose full-beam round would exceed ``ROUND_CELL_BUDGET`` cells.
+
+    A round joins up to ``beam_size`` hypotheses over its segment, so its
+    grid holds beam x width x symbols log-probabilities, where the width is
+    the segment size capped at the longest utterance. Without the budget an
+    absurd beam keeps every expansion and its group grows until memory runs
+    out; with it, such a beam fails before any decode.
+    """
+    width = min(config.segment_size, max((utt.frames for utt in utterances), default=0))
+    cells = config.beam_size * width * model.vocab.num_symbols
+    if cells > ROUND_CELL_BUDGET:
+        raise ValueError(
+            f"beam size {config.beam_size} needs {cells} joiner cells per round ({width}-frame"
+            f" segments x {model.vocab.num_symbols} symbols); the limit is {ROUND_CELL_BUDGET}"
+        )
+
+
 def _decode_utterance(
     model: TransducerModel, config: DecodeConfig, utt: Utterance
 ) -> tuple[NBestList, JoinerCounters]:
@@ -344,7 +377,9 @@ def run_benchmark(
     }
     spec = read_model_spec(model_path)
     model = load_model(spec)
-    utterances = load_corpus(corpus_path, model.vocab)
+    utterances = load_corpus(corpus_path, model.vocab, model.max_frames)
+    for config in configs.values():
+        check_round_budget(model, utterances, config)
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before
     # the first timed pass, so start-up is never billed as decode time.
@@ -468,27 +503,28 @@ def verify(
     if not tolerance >= 0.0:
         raise ValueError("tolerance must be a non-negative number")
 
-    # A capped model encodes as its inner model, so one encoder per utterance serves every pass.
+    # A capped model encodes as its inner model, so one encoder per utterance
+    # serves every check; each decode configuration runs once.
     encoders = [model.encode(utt.frames, utt.uid) for utt in utterances]
-    trace = DecodeTrace()
-
-    def s1_pairs():
-        # Lazy, so decoding stops at the first mismatch.
-        for utt, encoder in zip(utterances, encoders):
-            for beam in VERIFY_BEAM_SIZES:
-                config = DecodeConfig(beam_size=beam, segment_size=1, nbest=beam)
-                reference, _ = decode_utterance_standard(model, encoder, config, trace=trace)
-                segmented, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
-                detail = f"{utt.uid!r} at beam {beam}: sequence lists differ"
-                yield segmented.entries, reference.entries, detail
-
-    s1_summary = "max |score gap| {gap:.3e} over {pairs} decode pairs"
-    s1 = _compare_entries("s1-equivalence", s1_pairs(), s1_summary, tolerance)
-
     capped = TokenCapModel(model, max_tokens)
-    exact_pairs = []
-    invariance_pairs = []
+    trace = DecodeTrace()
+    s1_pairs, exact_pairs, invariance_pairs = [], [], []
+    bound_defect = 0.0
     for utt, encoder in zip(utterances, encoders):
+        entries = []
+        for beam in VERIFY_BEAM_SIZES:
+            for segment in (1, 3):
+                config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
+                decoded, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
+                entries += decoded.entries
+                if segment == 1:
+                    standard, _ = decode_utterance_standard(model, encoder, config, trace=trace)
+                    detail = f"{utt.uid!r} at beam {beam}: sequence lists differ"
+                    s1_pairs.append((decoded.entries, standard.entries, detail))
+        marginals = exact_sequence_marginals(model, encoder, [tokens for tokens, _ in entries])
+        for (_, score), marginal in zip(entries, marginals):
+            bound_defect = max(bound_defect, score - marginal)
+
         truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, max_tokens)
         whole = max(utt.frames, 1)
         by_segment = {}
@@ -502,27 +538,17 @@ def verify(
         exact_pairs.append((by_segment[whole], truth.entries, detail))
         # Sorted by tokens, so equal sequence sets compare as equal lists.
         reference = sorted(by_segment[1])
-        for segment, entries in by_segment.items():
+        for segment, got in by_segment.items():
             detail = f"{utt.uid!r}: segment size {segment} changes the sequence set"
-            invariance_pairs.append((sorted(entries), reference, detail))
+            invariance_pairs.append((sorted(got), reference, detail))
+    s1_summary = "max |score gap| {gap:.3e} over {pairs} decode pairs"
+    s1 = _compare_entries("s1-equivalence", s1_pairs, s1_summary, tolerance)
     exactness = _compare_entries(
         "oracle-exactness", exact_pairs, "max |marginal gap| {gap:.3e}", tolerance
     )
     invariance = _compare_entries(
         "segment-invariance", invariance_pairs, "max |score gap| {gap:.3e}", tolerance
     )
-
-    bound_defect = 0.0
-    for encoder in encoders:
-        entries = []
-        for beam in VERIFY_BEAM_SIZES:
-            for segment in (1, 3):
-                config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
-                decoded, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
-                entries += decoded.entries
-        marginals = exact_sequence_marginals(model, encoder, [tokens for tokens, _ in entries])
-        for (_, score), marginal in zip(entries, marginals):
-            bound_defect = max(bound_defect, score - marginal)
     bound = PropertyResult(
         "score-upper-bound",
         bound_defect <= tolerance,

@@ -215,6 +215,8 @@ class TransducerModel(ABC):
     """Encoder, predictor, and joiner triple with deterministic weights."""
 
     vocab: Vocabulary
+    # The most frames ``encode`` accepts; ``None`` when any length is accepted.
+    max_frames: Optional[int] = None
 
     @abstractmethod
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
@@ -459,7 +461,7 @@ class TabularModel(TransducerModel):
             raise ValueError("payload contains a row with no finite logit")
         self._table = log_normalize(table, axis=-1)
         self._table.setflags(write=False)
-        self.frames = table.shape[0]
+        self.frames = self.max_frames = table.shape[0]
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         frames = self.frames if frames is None else int(frames)
@@ -495,6 +497,7 @@ class TokenCapModel(TransducerModel):
         self.inner = inner
         self.cap = int(cap)
         self.vocab = inner.vocab
+        self.max_frames = inner.max_frames
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
         return self.inner.encode(frames, uid)

@@ -23,7 +23,7 @@ from tokenwise.cli import main as cli_main
 from tokenwise.harness import BenchmarkReport, load_corpus, run_benchmark
 from tokenwise.metrics import corpus_oracle_wer, corpus_wer, edit_distance
 from tokenwise.decoder import NBestList
-from tokenwise.model import SeededModel, TokenCapModel, load_model_file
+from tokenwise.model import JoinerCounters, SeededModel, TokenCapModel, load_model_file
 from tokenwise.oracle import exact_marginals, exact_nbest
 
 TOLERANCE = 1e-9
@@ -212,6 +212,20 @@ def test_segment_size_one_equivalence_at_bench_scale() -> None:
             standard, st_counters = decode_utterance_standard(model, encoder, config)
             assert tokenwise.entries == standard.entries, f"{utt.uid} at N{beam}"
             assert vars(tw_counters) == vars(st_counters), f"{utt.uid} at N{beam}"
+
+
+def test_mass_conservation_at_bench_scale() -> None:
+    # Criterion 4 traces segments of at most 8 frames. From 8 frames numpy
+    # sums a mass row pairwise, so the total the trace reads may differ in
+    # the last bit from the score the search selected; it must stay in bound.
+    model = load_model_file(BENCH_MODEL)
+    config = DecodeConfig(beam_size=4, segment_size=10)
+    counters, trace = JoinerCounters(), DecodeTrace()
+    for utt in load_corpus(BENCH_CORPUS, model.vocab)[:5]:
+        encoder = model.encode(utt.frames, utt.uid)
+        decode_utterance_tokenwise(model, encoder, config, counters, trace)
+    assert trace.rounds == counters.calls > 0
+    assert trace.max_mass_defect <= DecodeConfig.mass_tolerance
 
 
 def test_criterion_2_oracle_exactness() -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tokenwise
@@ -632,6 +632,69 @@ def test_an_utterance_too_long_for_memory_exits_two(tmp_path: Path, capsys) -> N
         _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
 
 
+def _forbid_decoding(monkeypatch) -> None:
+    def decode(*args, **kwargs):
+        raise AssertionError("decoded before rejecting the input")
+
+    monkeypatch.setattr(harness, "decode_utterance_tokenwise", decode)
+    monkeypatch.setattr(harness, "decode_utterance_standard", decode)
+
+
+def test_a_corpus_line_longer_than_a_tabular_model_exits_two_before_any_decode(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    model, corpus = tmp_path / "model.json", tmp_path / "corpus.jsonl"
+    row = [[0.0, -1.0]]
+    spec = {"kind": "tabular", "vocab_size": 1, "frames": 2, "payload": [row, row]}
+    model.write_text(json.dumps(spec), encoding="utf-8")
+    corpus.write_text(
+        '{"id": "fits", "frames": 2, "reference": [0]}\n'
+        '{"id": "long", "frames": 5, "reference": [0]}\n',
+        encoding="utf-8",
+    )
+    _forbid_decoding(monkeypatch)
+    inputs = ["--model", str(model), "--corpus", str(corpus)]
+    message = re.escape(f"{corpus}:2: utterance 'long' has 5 frames; the model holds at most 2")
+    for argv in (
+        ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
+        ["bench", *inputs, "--out", str(tmp_path / "r.json")],
+        ["verify", *inputs],
+    ):
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
+    # A seeded model encodes any length.
+    assert load_model_file(DATA_DIR / "tiny_model.json").max_frames is None
+
+
+def test_a_beam_over_the_round_cell_budget_exits_two_before_any_decode(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    model, corpus = tmp_path / "model.json", tmp_path / "corpus.jsonl"
+    spec = {"kind": "seeded", "vocab_size": 3, "frames": 3, "seed": 1}
+    model.write_text(json.dumps(spec), encoding="utf-8")
+    corpus.write_text('{"id": "a", "frames": 3, "reference": [0]}\n', encoding="utf-8")
+    _forbid_decoding(monkeypatch)
+    inputs = ["--model", str(model), "--corpus", str(corpus)]
+    beam = 10**23
+    budget = harness.ROUND_CELL_BUDGET
+    for argv, width in (
+        (["decode", *inputs, "--beam-size", str(beam), "--out", str(tmp_path / "h.jsonl")], 1),
+        (["decode", *inputs, "--beam-size", str(beam), "--segment-size", str(HUGE)], 3),
+        (["bench", *inputs, "--beam-size", "1", "--beam-size", str(beam)], 1),
+    ):
+        message = re.escape(
+            f"beam size {beam} needs {beam * width * 4} joiner cells per round"
+            f" ({width}-frame segments x 4 symbols); the limit is {budget}"
+        )
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
+    # The budget bounds beam x effective width x symbols, the width capped at
+    # the longest utterance; the check itself decodes nothing.
+    loaded, utterances = load_model_file(model), load_corpus(corpus)
+    largest = budget // (3 * 4)
+    harness.check_round_budget(loaded, utterances, DecodeConfig(largest, segment_size=HUGE))
+    with pytest.raises(ValueError, match="joiner cells per round"):
+        harness.check_round_budget(loaded, utterances, DecodeConfig(largest + 1, segment_size=3))
+
+
 def test_an_output_naming_an_input_or_the_other_output_exits_two(tmp_path: Path, capsys) -> None:
     (tmp_path / "t").mkdir()
     model, corpus = tmp_path / "t" / "model.json", tmp_path / "t" / "corpus.jsonl"
@@ -674,10 +737,13 @@ def test_an_input_that_is_not_utf8_exits_two_naming_its_file(tmp_path: Path, cap
 # ("site"), so valid cases are common and every fault is seen on its own.
 # Sizes are drawn from small valid values plus 0, -1 and HUGE, never in
 # between, where an allocation could succeed and take gigabytes. Sizes that
-# cost time instead of memory (counts, beams, repeats) never take HUGE: such
-# a beam makes the search unbounded. Paths are relative to a fresh
-# workspace, written as "{ws}/...", that holds a regular file "afile" and an
-# empty directory "adir".
+# cost time instead of memory (counts, beams, repeats) are never drawn HUGE:
+# such a beam would make the search unbounded. The explicit examples cover
+# two limits checked before any decode, a corpus line longer than a tabular
+# model's table and a beam over the round cell budget; their round cap keeps
+# a decode short should the budget ever let such a beam through. Paths are
+# relative to a fresh workspace, written as "{ws}/...", that holds a regular
+# file "afile" and an empty directory "adir".
 _WS = "{ws}"
 _BAD_TYPES = [None, True, False, "2", 2.5, [1], ""]
 _SITES = {
@@ -841,8 +907,31 @@ def _cases(draw) -> tuple[dict[str, str], list[str], list[str]]:
     return files, argv, outputs
 
 
+def _limit_case(command: str, model: dict, corpus: str, *options: str) -> tuple:
+    argv = [command, "--model", f"{_WS}/model", "--corpus", f"{_WS}/corpus", *options]
+    outputs = []
+    if command != "verify":
+        outputs.append(f"{_WS}/out")
+        argv += ["--out", outputs[0]]
+    return {"model": json.dumps(model), "corpus": corpus}, argv, outputs
+
+
+_TABULAR_2 = {"kind": "tabular", "vocab_size": 1, "frames": 2, "payload": [[[0.0, -1.0]]] * 2}
+_LONG_LINE = (
+    '{"id": "a", "frames": 2, "reference": [0]}\n{"id": "b", "frames": 5, "reference": [0]}\n'
+)
+_SEEDED_3 = {"kind": "seeded", "vocab_size": 3, "frames": 3, "seed": 1}
+_SHORT_LINE = '{"id": "a", "frames": 3, "reference": [0]}\n'
+_OVER_BUDGET = ["--beam-size", str(HUGE), "--max-rounds", "2"]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_cases())
+@example(case=_limit_case("decode", _TABULAR_2, _LONG_LINE))
+@example(case=_limit_case("bench", _TABULAR_2, _LONG_LINE))
+@example(case=_limit_case("verify", _TABULAR_2, _LONG_LINE))
+@example(case=_limit_case("decode", _SEEDED_3, _SHORT_LINE, *_OVER_BUDGET))
+@example(case=_limit_case("bench", _SEEDED_3, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET))
 def test_every_command_keeps_the_input_contract(case) -> None:
     files, argv, outputs = case
     with tempfile.TemporaryDirectory() as workspace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
 import hashlib
@@ -605,8 +606,7 @@ def _mass_pass(checks: int) -> tuple:
 
 # Each fault breaks one comparison property at utt-0002, the third tiny
 # utterance. The failing property reports the largest gap over the pairs
-# before it; the others are untouched. A failed s1 pass stops decoding, so
-# fewer mass checks run.
+# before it; the others are untouched.
 @pytest.mark.parametrize(
     "inject, expected",
     [
@@ -617,7 +617,7 @@ def _mass_pass(checks: int) -> tuple:
                 _EXACT_PASS,
                 _INVARIANCE_PASS,
                 _BOUND_PASS,
-                _mass_pass(51732),
+                _mass_pass(52289),
             ],
         ),
         (
@@ -632,7 +632,7 @@ def _mass_pass(checks: int) -> tuple:
                 ),
                 _INVARIANCE_PASS,
                 _BOUND_PASS,
-                _mass_pass(53160),
+                _mass_pass(52289),
             ],
         ),
         (
@@ -647,7 +647,7 @@ def _mass_pass(checks: int) -> tuple:
                     "'utt-0002': segment size 2 changes the sequence set",
                 ),
                 _BOUND_PASS,
-                _mass_pass(53160),
+                _mass_pass(52289),
             ],
         ),
     ],
@@ -659,3 +659,20 @@ def test_verify_reports_each_injected_fault(monkeypatch, inject, expected) -> No
     results = verify(model, load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab))
     got = [(r.passed, r.name, r.max_defect, r.detail) for r in results]
     assert got == expected
+
+
+def test_verify_decodes_each_configuration_once(monkeypatch) -> None:
+    real = harness.decode_utterance_tokenwise
+    calls = collections.Counter()
+
+    def counted(model, encoder, config, *args, **kwargs):
+        key = (encoder.uid, type(model).__name__, config.beam_size, config.segment_size)
+        calls[key] += 1
+        return real(model, encoder, config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "decode_utterance_tokenwise", counted)
+    model = load_model_file(DATA_DIR / "tiny_model.json")
+    utterances = load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab)
+    assert all(result.passed for result in verify(model, utterances))
+    assert {uid for uid, *_ in calls} == {utt.uid for utt in utterances}
+    assert set(calls.values()) == {1}
