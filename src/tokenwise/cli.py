@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check decoder invariants on a tiny corpus")
     ver.add_argument("--model", required=True)
     ver.add_argument("--corpus", required=True)
-    ver.add_argument("--tolerance", type=float, default=1e-9)
-    ver.add_argument("--max-tokens", type=int, default=4)
     return parser
 
 
@@ -198,7 +196,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = load_model_file(args.model)
     utterances = load_corpus(args.corpus, model.vocab, model.max_frames)
-    results = verify(model, utterances, tolerance=args.tolerance, max_tokens=args.max_tokens)
+    results = verify(model, utterances)
     for result in results:
         mark = "PASS" if result.passed else "FAIL"
         print(f"{mark} {result.name}: {result.detail}")

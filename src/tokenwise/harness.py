@@ -57,6 +57,7 @@ if TYPE_CHECKING:
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
 VERIFY_BEAM_SIZES = (1, 2, 5)
+VERIFY_MAX_TOKENS = 4
 # A 32 MiB float64 joiner grid; a round's lists of Python floats take a few times that.
 ROUND_CELL_BUDGET = 2**22
 
@@ -132,8 +133,8 @@ def load_corpus(
             bad = [t for t in reference if not (0 <= t < vocab.size)]
             if bad:
                 raise ValueError(
-                    f"utterance {uid!r}: reference tokens {bad} outside vocabulary"
-                    f" of size {vocab.size}"
+                    f"{path}:{number}: utterance {uid!r}: reference tokens {bad}"
+                    f" outside vocabulary of size {vocab.size}"
                 )
         utterances.append(Utterance(uid, frames, tuple(reference)))
     if not utterances:
@@ -445,10 +446,7 @@ class PropertyResult:
 
 
 def _compare_entries(
-    name: str,
-    pairs: Iterable[tuple[Sequence, Sequence, str]],
-    summary: str,
-    tolerance: float,
+    name: str, pairs: Iterable[tuple[Sequence, Sequence, str]], summary: str
 ) -> PropertyResult:
     """Fold ``(got_entries, want_entries, failure_detail)`` triples into one property.
 
@@ -465,28 +463,23 @@ def _compare_entries(
         count += 1
         for (_, got_score), (_, want_score) in zip(got, want):
             gap = max(gap, abs(got_score - want_score))
-    return PropertyResult(name, gap <= tolerance, gap, summary.format(gap=gap, pairs=count))
+    passed = gap <= DecodeConfig.mass_tolerance
+    return PropertyResult(name, passed, gap, summary.format(gap=gap, pairs=count))
 
 
-def verify(
-    model: TransducerModel,
-    utterances: Sequence[Utterance],
-    *,
-    tolerance: float = 1e-9,
-    max_tokens: int = 4,
-) -> tuple[PropertyResult, ...]:
+def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[PropertyResult, ...]:
     """Check the decoding invariants end to end on a tiny corpus.
 
     Instances must be small enough for the exact oracle (it re-derives
     every marginal by the forward DP); zero-frame utterances are allowed.
     Returns five results, in this order: the segment decoder at segment size
     one matches the frame-synchronous reference decoder (s1-equivalence);
-    with a token cap of ``max_tokens`` and an unbounded beam it reproduces
+    with a token cap of ``VERIFY_MAX_TOKENS`` and an unbounded beam it reproduces
     the exact marginals and their ranking (oracle-exactness); final scores
     do not depend on the segment size (segment-invariance); no beam score
     ever exceeds its sequence's true marginal (score-upper-bound); and every
     expansion round conserves probability mass (mass-conservation). Each
-    passes when its largest defect is at most ``tolerance``.
+    passes when its largest defect is at most ``DecodeConfig.mass_tolerance``.
     """
     if not utterances:
         raise ValueError("verification needs at least one utterance")
@@ -498,15 +491,11 @@ def verify(
             )
     if model.vocab.size > ENUM_MAX_VOCAB:
         raise ValueError(f"verification handles vocabularies up to {ENUM_MAX_VOCAB}")
-    if not (1 <= max_tokens <= ENUM_MAX_TOKENS):
-        raise ValueError(f"max_tokens must lie in 1..{ENUM_MAX_TOKENS}")
-    if not tolerance >= 0.0:
-        raise ValueError("tolerance must be a non-negative number")
 
     # A capped model encodes as its inner model, so one encoder per utterance
     # serves every check; each decode configuration runs once.
     encoders = [model.encode(utt.frames, utt.uid) for utt in utterances]
-    capped = TokenCapModel(model, max_tokens)
+    capped = TokenCapModel(model, VERIFY_MAX_TOKENS)
     trace = DecodeTrace()
     s1_pairs, exact_pairs, invariance_pairs = [], [], []
     bound_defect = 0.0
@@ -525,7 +514,7 @@ def verify(
         for (_, score), marginal in zip(entries, marginals):
             bound_defect = max(bound_defect, score - marginal)
 
-        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, max_tokens)
+        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, VERIFY_MAX_TOKENS)
         whole = max(utt.frames, 1)
         by_segment = {}
         for segment in sorted({1, 2, 3, whole}):
@@ -542,23 +531,21 @@ def verify(
             detail = f"{utt.uid!r}: segment size {segment} changes the sequence set"
             invariance_pairs.append((sorted(got), reference, detail))
     s1_summary = "max |score gap| {gap:.3e} over {pairs} decode pairs"
-    s1 = _compare_entries("s1-equivalence", s1_pairs, s1_summary, tolerance)
-    exactness = _compare_entries(
-        "oracle-exactness", exact_pairs, "max |marginal gap| {gap:.3e}", tolerance
-    )
+    s1 = _compare_entries("s1-equivalence", s1_pairs, s1_summary)
+    exactness = _compare_entries("oracle-exactness", exact_pairs, "max |marginal gap| {gap:.3e}")
     invariance = _compare_entries(
-        "segment-invariance", invariance_pairs, "max |score gap| {gap:.3e}", tolerance
+        "segment-invariance", invariance_pairs, "max |score gap| {gap:.3e}"
     )
     bound = PropertyResult(
         "score-upper-bound",
-        bound_defect <= tolerance,
+        bound_defect <= DecodeConfig.mass_tolerance,
         bound_defect,
         f"max score excess over true marginal {bound_defect:.3e}",
     )
 
     mass = PropertyResult(
         "mass-conservation",
-        trace.max_mass_defect <= tolerance,
+        trace.max_mass_defect <= DecodeConfig.mass_tolerance,
         trace.max_mass_defect,
         f"max defect {trace.max_mass_defect:.3e} over {trace.mass_checks} checks",
     )

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import tokenwise
 from tokenwise import cli, harness
 from tokenwise.cli import main
-from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
+from tokenwise.decoder import DecodeConfig, NBestList, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
 from tokenwise.model import _string_key, load_model_file
 
@@ -177,33 +177,34 @@ def test_verify_passes_on_bundled_data(capsys) -> None:
     assert "FAIL" not in out
 
 
-def test_verify_zero_tolerance_exits_one(capsys) -> None:
+def test_verify_exits_one_naming_the_property_a_fault_breaks(monkeypatch, capsys) -> None:
+    real = harness.exact_nbest
+
+    def swapped(model, encoder, *args):
+        result = real(model, encoder, *args)
+        if encoder.uid != "utt-0002":
+            return result
+        first, second, *rest = result.entries
+        return NBestList((second, first, *rest))
+
+    monkeypatch.setattr(harness, "exact_nbest", swapped)
     code = main(
         [
             "verify",
             "--model", str(DATA_DIR / "tiny_model.json"),
             "--corpus", str(DATA_DIR / "tiny_corpus.jsonl"),
-            "--tolerance", "0",
         ]
     )
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_verify_rejects_a_negative_or_nan_tolerance(capsys) -> None:
-    for tolerance in ("-1", "nan"):
-        code = main(
-            [
-                "verify",
-                "--model", str(DATA_DIR / "tiny_model.json"),
-                "--corpus", str(DATA_DIR / "tiny_corpus.jsonl"),
-                "--tolerance", tolerance,
-            ]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: tolerance must be a non-negative number\n"
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "s1-equivalence:"],
+        ["FAIL", "oracle-exactness:"],
+        ["PASS", "segment-invariance:"],
+        ["PASS", "score-upper-bound:"],
+        ["PASS", "mass-conservation:"],
+    ]
+    assert lines[1] == "FAIL oracle-exactness: 'utt-0002': ranking differs from the exact oracle"
 
 
 def test_verify_accepts_a_zero_frame_utterance(tmp_path: Path, capsys) -> None:
@@ -733,8 +734,28 @@ def test_an_input_that_is_not_utf8_exits_two_naming_its_file(tmp_path: Path, cap
             _exits_two_leaving_nothing(argv, tmp_path, capsys, re.escape(message))
 
 
+def test_an_out_of_vocabulary_reference_exits_two_naming_its_line(
+    tmp_path: Path, capsys
+) -> None:
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"id": "a", "frames": 2, "reference": [0]}\n{"id": "b", "frames": 2, "reference": [7]}\n',
+        encoding="utf-8",
+    )
+    inputs = ["--model", str(DATA_DIR / "tiny_model.json"), "--corpus", str(corpus)]
+    message = f"{corpus}:2: utterance 'b': reference tokens [7] outside vocabulary of size 3"
+    for argv in (
+        ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
+        ["bench", *inputs, "--out", str(tmp_path / "r.json")],
+        ["verify", *inputs],
+    ):
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, re.escape(message))
+
+
 # The input contract on generated inputs. Each case breaks at most one input
 # ("site"), so valid cases are common and every fault is seen on its own.
+# Besides the drawn cases, every (command, site) pair gets cases that break
+# that site, and the test fails unless each pair was rejected at least once.
 # Sizes are drawn from small valid values plus 0, -1 and HUGE, never in
 # between, where an allocation could succeed and take gigabytes. Sizes that
 # cost time instead of memory (counts, beams, repeats) are never drawn HUGE:
@@ -750,9 +771,14 @@ _SITES = {
     "generate": ["count", "vocab", "frames", "prior", "model-out", "corpus-out"],
     "decode": ["nbest", "rounds", "beam", "segment", "out"],
     "bench": ["rounds", "beam", "segment", "repeats", "workers", "out"],
-    "verify": ["tolerance", "tokens"],
+    "verify": [],
 }
 _FILE_SITES = ["model", "vocab", "corpus", "frames", "paths"]
+_PAIRS = [
+    (command, site)
+    for command, sites in sorted(_SITES.items())
+    for site in sites + (_FILE_SITES if command != "generate" else [])
+]
 
 
 @st.composite
@@ -835,11 +861,18 @@ def _corpus_texts(draw, vocab: int, broken: Optional[str]) -> str:
 
 
 @st.composite
-def _cases(draw) -> tuple[dict[str, str], list[str], list[str]]:
-    """Files to write, the argv, and the output paths a success must leave."""
-    command = draw(st.sampled_from(sorted(_SITES)))
-    sites = _SITES[command] + (_FILE_SITES if command != "generate" else [])
-    broken = draw(st.one_of(st.none(), st.sampled_from(sites)))
+def _cases(draw, forced: Optional[tuple[str, str]] = None) -> tuple:
+    """Files to write, the argv, the output paths a success must leave, and the broken site.
+
+    A ``forced`` (command, site) pair is broken; otherwise the command and at
+    most one broken site are drawn.
+    """
+    if forced is None:
+        command = draw(st.sampled_from(sorted(_SITES)))
+        sites = [site for pair_command, site in _PAIRS if pair_command == command]
+        broken = draw(st.one_of(st.none(), st.sampled_from(sites)))
+    else:
+        command, broken = forced
 
     def pick(site: str, valid: list, invalid: list):
         return draw(st.sampled_from(invalid if broken == site else valid))
@@ -865,7 +898,7 @@ def _cases(draw) -> tuple[dict[str, str], list[str], list[str]]:
             "--model", outputs[0],
             "--corpus", outputs[1],
         ]
-        return {}, argv, outputs
+        return {}, argv, outputs, broken
 
     model_text, vocab = draw(_model_texts(broken))
     files = {"model": model_text, "corpus": draw(_corpus_texts(vocab, broken))}
@@ -876,9 +909,7 @@ def _cases(draw) -> tuple[dict[str, str], list[str], list[str]]:
     )
     argv = [command, "--model", f"{_WS}/{model_path}", "--corpus", f"{_WS}/{corpus_path}"]
     if command == "verify":
-        argv += ["--tolerance", str(pick("tolerance", [1e-9, 0.0], [-1.0, float("nan")]))]
-        argv += ["--max-tokens", str(pick("tokens", [1, 2], [0, -1, HUGE]))]
-        return files, argv, []
+        return files, argv, [], broken
     rounds = pick("rounds", [None, 1, 3, HUGE], [0, -1])
     if rounds is not None:
         argv += ["--max-rounds", str(rounds)]
@@ -904,16 +935,16 @@ def _cases(draw) -> tuple[dict[str, str], list[str], list[str]]:
     if broken == "out" or draw(st.booleans()):
         outputs.append(output("out", "out"))
         argv += ["--out", outputs[0]]
-    return files, argv, outputs
+    return files, argv, outputs, broken
 
 
-def _limit_case(command: str, model: dict, corpus: str, *options: str) -> tuple:
+def _limit_case(command: str, site: str, model: dict, corpus: str, *options: str) -> tuple:
     argv = [command, "--model", f"{_WS}/model", "--corpus", f"{_WS}/corpus", *options]
     outputs = []
     if command != "verify":
         outputs.append(f"{_WS}/out")
         argv += ["--out", outputs[0]]
-    return {"model": json.dumps(model), "corpus": corpus}, argv, outputs
+    return {"model": json.dumps(model), "corpus": corpus}, argv, outputs, site
 
 
 _TABULAR_2 = {"kind": "tabular", "vocab_size": 1, "frames": 2, "payload": [[[0.0, -1.0]]] * 2}
@@ -925,15 +956,18 @@ _SHORT_LINE = '{"id": "a", "frames": 3, "reference": [0]}\n'
 _OVER_BUDGET = ["--beam-size", str(HUGE), "--max-rounds", "2"]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=_cases())
-@example(case=_limit_case("decode", _TABULAR_2, _LONG_LINE))
-@example(case=_limit_case("bench", _TABULAR_2, _LONG_LINE))
-@example(case=_limit_case("verify", _TABULAR_2, _LONG_LINE))
-@example(case=_limit_case("decode", _SEEDED_3, _SHORT_LINE, *_OVER_BUDGET))
-@example(case=_limit_case("bench", _SEEDED_3, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET))
-def test_every_command_keeps_the_input_contract(case) -> None:
-    files, argv, outputs = case
+_LIMIT_CASES = [
+    _limit_case("decode", "frames", _TABULAR_2, _LONG_LINE),
+    _limit_case("bench", "frames", _TABULAR_2, _LONG_LINE),
+    _limit_case("verify", "frames", _TABULAR_2, _LONG_LINE),
+    _limit_case("decode", "beam", _SEEDED_3, _SHORT_LINE, *_OVER_BUDGET),
+    _limit_case("bench", "beam", _SEEDED_3, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET),
+]
+_FORCED_EXAMPLES = 10
+
+
+def _run_case(files: dict[str, str], argv: list[str], outputs: list[str]) -> int:
+    """Run one case in a fresh workspace, check the exit-code contract, return the code."""
     with tempfile.TemporaryDirectory() as workspace:
         root = Path(workspace)
         (root / "afile").write_text("", encoding="utf-8")
@@ -956,3 +990,23 @@ def test_every_command_keeps_the_input_contract(case) -> None:
             assert code == 0
             assert "error" not in err
             assert all(Path(path.replace(_WS, workspace)).is_file() for path in outputs)
+    return code
+
+
+def test_every_command_keeps_the_input_contract() -> None:
+    rejected = set()
+
+    def check(case) -> None:
+        files, argv, outputs, broken = case
+        if _run_case(files, argv, outputs) == 2:
+            rejected.add((argv[0], broken))
+
+    deterministic = settings(deadline=None, derandomize=True, database=None)
+    drawn = given(case=_cases())(check)
+    for case in _LIMIT_CASES:
+        drawn = example(case=case)(drawn)
+    settings(deterministic, max_examples=200)(drawn)()
+    for pair in _PAIRS:
+        forced = given(case=_cases(pair))(check)
+        settings(deterministic, max_examples=_FORCED_EXAMPLES)(forced)()
+    assert [pair for pair in _PAIRS if pair not in rejected] == []

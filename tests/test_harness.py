@@ -152,9 +152,10 @@ def test_load_corpus_checks_vocabulary(tmp_path: Path) -> None:
         tmp_path / "oov.jsonl", ['{"id": "a", "frames": 2, "reference": [7]}']
     )
     assert load_corpus(path)[0].reference == (7,)
-    message = "utterance 'a': reference tokens [7] outside vocabulary of size 3"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError) as raised:
         load_corpus(path, Vocabulary(3))
+    message = f"{path}:1: utterance 'a': reference tokens [7] outside vocabulary of size 3"
+    assert str(raised.value) == message
 
 
 def test_load_corpus_missing_file(tmp_path: Path) -> None:
@@ -232,7 +233,7 @@ _INVALID_INPUTS = {
     ),
     "corpus-vocabulary": (
         lambda p: _read_corpus_bytes(p, b'{"id": "a", "frames": 2, "reference": [5]}'),
-        "reference tokens [5] outside vocabulary of size 2",
+        ":1: utterance 'a': reference tokens [5] outside vocabulary of size 2",
     ),
     "corpus-empty": (lambda p: _read_corpus_bytes(p, b"\n"), "is empty"),
     "corpus-not-utf8": (lambda p: _read_corpus_bytes(p, b'{"id": "\xff"}'), ":1: not UTF-8 text"),
@@ -519,23 +520,9 @@ def test_verify_rejects_oversized_instances() -> None:
     big = SeededModel(vocab_size=5, frames=3, seed=3)
     with pytest.raises(ValueError):
         verify(big, [Utterance(uid="a", frames=3, reference=())])
-    with pytest.raises(ValueError):
-        verify(
-            model,
-            [Utterance(uid="a", frames=3, reference=())],
-            max_tokens=99,
-        )
     # A zero-frame utterance is within the oracle's limits: all five properties pass.
     results = verify(model, [Utterance(uid="empty", frames=0, reference=())])
     assert [result.passed for result in results] == [True] * 5
-
-
-def test_verify_zero_tolerance_fails_gracefully() -> None:
-    spec = read_model_spec(DATA_DIR / "tiny_model.json")
-    model = load_model(spec)
-    utterances = load_corpus(DATA_DIR / "tiny_corpus.jsonl", model.vocab)[:3]
-    results = verify(model, utterances, tolerance=0.0)
-    assert not all(result.passed for result in results)
 
 
 def _swap_top_two(result: NBestList) -> NBestList:

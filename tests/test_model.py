@@ -305,6 +305,9 @@ def test_tabular_model_normalizes_and_clamps_depth() -> None:
 def test_tabular_model_validates_payload() -> None:
     with pytest.raises(ValueError, match="not a rectangular numeric table"):
         TabularModel(vocab_size=2, payload=[[[0.0, 0.0], [0.0]]])
+    with pytest.raises(ValueError) as raised:
+        TabularModel(vocab_size=2, payload=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert str(raised.value) == "payload must be nested as frames x prefixes x symbols"
     with pytest.raises(ValueError, match="rows have 4 symbols, expected 3"):
         TabularModel(vocab_size=2, payload=_uniform_payload(2, 1, 4))
     # As a list, a table with no prefix rows flattens to 2-D; as an array it keeps its shape.
