@@ -23,7 +23,6 @@ from .metrics import corpus_oracle_wer, corpus_wer, edit_distance
 from .model import (
     EncoderOutput,
     JoinerCounters,
-    ModelSpec,
     PredictorState,
     SeededModel,
     TabularModel,
@@ -33,7 +32,6 @@ from .model import (
     load_model,
     load_model_file,
     read_model_spec,
-    write_model_spec,
 )
 from .oracle import (
     ExactMarginals,

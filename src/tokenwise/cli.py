@@ -103,7 +103,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     frames = sum(u.frames for u in utterances)
     tokens = sum(len(u.reference) for u in utterances)
     print(
-        f"wrote {args.model} (seeded, vocab {spec.vocab_size}) and {args.corpus}"
+        f"wrote {args.model} (seeded, vocab {spec['vocab_size']}) and {args.corpus}"
         f" ({len(utterances)} utterances, {frames} frames, {tokens} reference tokens)"
     )
     return 0

@@ -4,7 +4,7 @@ File formats
 ------------
 Corpora are JSON Lines: one ``{"id": str, "frames": int, "reference":
 [int, ...]}`` object per line. Models are single JSON objects (see
-``model.ModelSpec``). Benchmark reports are JSON with one entry per
+``model.load_model``). Benchmark reports are JSON with one entry per
 (beam size, segment size) cell under keys like ``"N2/S5"``; wall-clock
 numbers live in each cell's ``"timing"`` object so reports from repeated
 runs are byte-identical once timing is stripped.
@@ -32,7 +32,6 @@ from .metrics import corpus_oracle_wer, corpus_wer
 from .model import (
     DEFAULT_BLANK_PRIOR,
     JoinerCounters,
-    ModelSpec,
     TokenCapModel,
     TransducerModel,
     Vocabulary,
@@ -40,7 +39,6 @@ from .model import (
     check_output_path,
     load_model,
     read_model_spec,
-    write_model_spec,
     write_text_file,
 )
 from .oracle import (
@@ -162,7 +160,7 @@ def generate_corpus(
     blank_prior: float = DEFAULT_BLANK_PRIOR,
     model_path: Optional[str | Path] = None,
     corpus_path: Optional[str | Path] = None,
-) -> tuple[ModelSpec, list[Utterance]]:
+) -> tuple[dict, list[Utterance]]:
     """Create a seeded model and a matching corpus with reachable references.
 
     Frame counts are drawn per utterance from a hash of (seed, index), so a
@@ -170,7 +168,8 @@ def generate_corpus(
     prefix. References come from the exact oracle when the instance is
     small enough and otherwise from a wide-beam segment decode, so they are
     sequences the model can actually produce. Files are written only when
-    the corresponding path is given.
+    the corresponding path is given. Returns the model file's JSON object
+    and the utterances.
     """
     if count < 1:
         raise ValueError("need at least one utterance")
@@ -180,13 +179,13 @@ def generate_corpus(
     outputs = [path for path in (model_path, corpus_path) if path is not None]
     for index, path in enumerate(outputs):
         check_output_path(path, *outputs[:index])
-    spec = ModelSpec(
-        kind="seeded",
-        vocab_size=vocab_size,
-        frames=high,
-        seed=seed,
-        blank_prior=blank_prior,
-    )
+    spec = {
+        "kind": "seeded",
+        "vocab_size": vocab_size,
+        "frames": high,
+        "seed": seed,
+        "blank_prior": blank_prior,
+    }
     model = load_model(spec)
     reference_config = DecodeConfig(
         beam_size=REFERENCE_BEAM,
@@ -205,7 +204,7 @@ def generate_corpus(
             reference = result.top
         utterances.append(Utterance(uid, frames, reference))
     if model_path is not None:
-        write_model_spec(spec, model_path)
+        write_text_file(model_path, json.dumps(spec, sort_keys=True, indent=2) + "\n")
     if corpus_path is not None:
         save_corpus(utterances, corpus_path)
     return spec, utterances
@@ -420,7 +419,7 @@ def run_benchmark(
         )
 
     meta = {
-        "model": {k: v for k, v in spec.to_dict().items() if k != "payload"},
+        "model": {k: v for k, v in spec.items() if k != "payload"},
         "corpus": {
             "utterances": len(utterances),
             "frames": sum(u.frames for u in utterances),

@@ -83,6 +83,18 @@ def _mix64_array(values: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy refuses a table near 2**63 bytes with a ValueError of its own, and its
+# uint64 arange returns an empty array from 2**63 - 1 entries. No host holds
+# even 2**62 bytes, so a table that large is refused as too large for memory.
+_MAX_TABLE_BYTES = 2**62
+
+
+def _check_table_size(entries: int) -> None:
+    """Raise ``MemoryError`` for a table of ``entries`` 8-byte values too large to hold."""
+    if entries * 8 >= _MAX_TABLE_BYTES:
+        raise MemoryError(f"a table of {entries} 8-byte entries needs {entries * 8} bytes")
+
+
 def _string_key(text: str) -> int:
     digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -149,66 +161,6 @@ class JoinerCounters:
     def merge(self, other: "JoinerCounters") -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Serializable description of a synthetic model."""
-
-    kind: str
-    vocab_size: int
-    frames: int
-    seed: Optional[int] = None
-    blank_prior: Optional[float] = None
-    payload: Optional[list] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("seeded", "tabular"):
-            raise ValueError(f"unknown model kind: {self.kind!r}")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
-        if self.frames < 0:
-            raise ValueError("frames cannot be negative")
-        if self.kind == "seeded" and self.seed is None:
-            raise ValueError("seeded model needs a seed")
-        if self.kind == "tabular" and self.payload is None:
-            raise ValueError("tabular model needs a payload")
-        if self.blank_prior is not None and not (0.0 < self.blank_prior < 1.0):
-            raise ValueError("blank_prior must lie strictly between 0 and 1")
-
-    def to_dict(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: value for name, value in values.items() if value is not None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelSpec":
-        if not isinstance(data, dict):
-            raise ValueError("model spec must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown model spec fields: {sorted(unknown)}")
-        # JSON true and false load as bool, a subclass of int, so both checks exclude bool.
-        for name in ("vocab_size", "frames", "seed"):
-            value = data.get(name, 0)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        prior = data.get("blank_prior", 0.0)
-        if not isinstance(prior, (int, float)) or isinstance(prior, bool):
-            raise ValueError("blank_prior must be a number")
-        for kind, name in (("seeded", "payload"), ("tabular", "seed"), ("tabular", "blank_prior")):
-            if data.get("kind") == kind and name in data:
-                raise ValueError(f"a {kind} model takes no {name}")
-        try:
-            return cls(
-                kind=data["kind"],
-                vocab_size=data["vocab_size"],
-                frames=data["frames"],
-                seed=data.get("seed"),
-                blank_prior=float(prior) if "blank_prior" in data else None,
-                payload=data.get("payload"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"model spec is missing field {exc}") from exc
 
 
 class TransducerModel(ABC):
@@ -330,6 +282,7 @@ class SeededModel(TransducerModel):
             raise ValueError("blank_prior must lie strictly between 0 and 1")
         self._seed_key = _mix64(self.seed & _MASK64)
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
+        _check_table_size(vocab_size)
         self._lanes = np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(_SYMBOL_SALT)
 
     def encode(self, frames: Optional[int] = None, uid: str = "") -> EncoderOutput:
@@ -344,6 +297,7 @@ class SeededModel(TransducerModel):
         The depth table is :meth:`_depth_terms` at depths ``0..frames-1``;
         join evaluates it afresh for deeper states.
         """
+        _check_table_size(frames)
         ids = np.arange(frames, dtype=np.uint64)
         key = np.uint64(handle)
         spike_unit = (
@@ -516,32 +470,66 @@ class TokenCapModel(TransducerModel):
         return grid
 
 
-def load_model(spec: ModelSpec) -> TransducerModel:
-    """Construct the model a spec describes."""
-    if spec.kind == "seeded":
-        return SeededModel(
-            vocab_size=spec.vocab_size,
-            frames=spec.frames,
-            seed=spec.seed,
-            blank_prior=spec.blank_prior,
-        )
-    model = TabularModel(vocab_size=spec.vocab_size, payload=spec.payload)
-    if model.frames != spec.frames:
-        raise ValueError(f"payload holds {model.frames} frames but spec declares {spec.frames}")
+def load_model(data: dict) -> TransducerModel:
+    """Construct the model a model file's JSON object describes, checking its fields."""
+    if not isinstance(data, dict):
+        raise ValueError("model spec must be a JSON object")
+    unknown = set(data) - {"kind", "vocab_size", "frames", "seed", "blank_prior", "payload"}
+    if unknown:
+        raise ValueError(f"unknown model spec fields: {sorted(unknown)}")
+    # JSON true and false load as bool, a subclass of int, so both checks exclude bool.
+    for name in ("vocab_size", "frames", "seed"):
+        value = data.get(name, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer")
+    prior = data.get("blank_prior", 0.0)
+    if not isinstance(prior, (int, float)) or isinstance(prior, bool):
+        raise ValueError("blank_prior must be a number")
+    kind = data.get("kind")
+    for refusing, name in (("seeded", "payload"), ("tabular", "seed"), ("tabular", "blank_prior")):
+        if kind == refusing and name in data:
+            raise ValueError(f"a {refusing} model takes no {name}")
+    for name in ("kind", "vocab_size", "frames"):
+        if name not in data:
+            raise ValueError(f"model spec is missing field {name!r}")
+    if kind not in ("seeded", "tabular"):
+        raise ValueError(f"unknown model kind: {kind!r}")
+    vocab_size, frames = data["vocab_size"], data["frames"]
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be positive")
+    if frames < 0:
+        raise ValueError("frames cannot be negative")
+    if kind == "seeded":
+        if "seed" not in data:
+            raise ValueError("seeded model needs a seed")
+        return SeededModel(vocab_size, frames, data["seed"], data.get("blank_prior"))
+    payload = data.get("payload")
+    if payload is None:
+        raise ValueError("tabular model needs a payload")
+    entries = [payload]
+    while entries:
+        entry = entries.pop()
+        if isinstance(entry, list):
+            entries.extend(entry)
+        elif not isinstance(entry, (int, float)) or isinstance(entry, bool):
+            raise ValueError("payload entries must be JSON numbers")
+    model = TabularModel(vocab_size, payload)
+    if model.frames != frames:
+        raise ValueError(f"payload holds {model.frames} frames but spec declares {frames}")
     return model
 
 
-def read_model_spec(path: str | Path) -> ModelSpec:
+def read_model_spec(path: str | Path) -> dict:
+    """The model file's JSON value; :func:`load_model` checks it."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"model file {path} is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
-    return ModelSpec.from_dict(data)
 
 
 def check_output_path(path: str | Path, *others: str | Path) -> Path:
@@ -570,10 +558,6 @@ def write_text_file(path: str | Path, text: str) -> None:
     path = check_output_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def write_model_spec(spec: ModelSpec, path: str | Path) -> None:
-    write_text_file(path, json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def load_model_file(path: str | Path) -> TransducerModel:

@@ -226,32 +226,55 @@ def test_verify_accepts_a_zero_frame_utterance(tmp_path: Path, capsys) -> None:
 def test_model_file_with_mistyped_fields_exits_two(tmp_path: Path, capsys) -> None:
     seeded = {"kind": "seeded", "vocab_size": 3, "frames": 6, "seed": 1, "blank_prior": 0.6}
     tabular = {"kind": "tabular", "vocab_size": 1, "frames": 1, "payload": [[[0.0, 0.0]]]}
+    unseeded = {name: value for name, value in seeded.items() if name != "seed"}
     cases = [
-        {**seeded, "vocab_size": None},
-        {**seeded, "vocab_size": 4.9},
-        {**seeded, "vocab_size": "3"},
-        {**seeded, "frames": [12]},
-        {**seeded, "frames": "12"},
-        {**seeded, "frames": True},
-        {**seeded, "seed": True},
-        {**seeded, "seed": 1.0},
-        {**seeded, "seed": None},
-        {**seeded, "blank_prior": "0.6"},
-        {**seeded, "blank_prior": None},
-        {**seeded, "blank_prior": False},
-        {**seeded, "payload": tabular["payload"]},
-        {**tabular, "seed": 1},
-        {**tabular, "blank_prior": 0.6},
+        ({**seeded, "vocab_size": None}, "vocab_size must be an integer"),
+        ({**seeded, "vocab_size": 4.9}, "vocab_size must be an integer"),
+        ({**seeded, "vocab_size": "3"}, "vocab_size must be an integer"),
+        ({**seeded, "frames": [12]}, "frames must be an integer"),
+        ({**seeded, "frames": "12"}, "frames must be an integer"),
+        ({**seeded, "frames": True}, "frames must be an integer"),
+        ({**seeded, "seed": True}, "seed must be an integer"),
+        ({**seeded, "seed": 1.0}, "seed must be an integer"),
+        ({**seeded, "seed": None}, "seed must be an integer"),
+        ({**seeded, "blank_prior": "0.6"}, "blank_prior must be a number"),
+        ({**seeded, "blank_prior": None}, "blank_prior must be a number"),
+        ({**seeded, "blank_prior": False}, "blank_prior must be a number"),
+        ({**seeded, "payload": tabular["payload"]}, "a seeded model takes no payload"),
+        ({**tabular, "seed": 1}, "a tabular model takes no seed"),
+        ({**tabular, "blank_prior": 0.6}, "a tabular model takes no blank_prior"),
+        # numpy would read each of these entries as a logit.
+        ({**tabular, "payload": [[["1", 0.0]]]}, "payload entries must be JSON numbers"),
+        ({**tabular, "payload": [[["-inf", 0.0]]]}, "payload entries must be JSON numbers"),
+        ({**tabular, "payload": [[[True, 0.0]]]}, "payload entries must be JSON numbers"),
+        ([1, 2, 3], "model spec must be a JSON object"),
+        ({**seeded, "zap": 3}, "unknown model spec fields: ['zap']"),
+        ({"kind": "seeded", "vocab_size": 2}, "model spec is missing field 'frames'"),
+        (unseeded, "seeded model needs a seed"),
+        ({**tabular, "payload": None}, "tabular model needs a payload"),
+        ({**seeded, "kind": "mystery"}, "unknown model kind: 'mystery'"),
+        ({**seeded, "vocab_size": 0}, "vocab_size must be positive"),
+        ({**seeded, "frames": -1}, "frames cannot be negative"),
+        ({**seeded, "blank_prior": 2.0}, "blank_prior must lie strictly between 0 and 1"),
+        ({**tabular, "frames": 2}, "payload holds 1 frames but spec declares 2"),
+        # Several faults at once: the first of load_model's checks to fail is named.
+        ({**tabular, "seed": 1, "zap": 3}, "unknown model spec fields: ['zap']"),
+        ({**tabular, "vocab_size": "3", "seed": 1}, "vocab_size must be an integer"),
+        ({"kind": "tabular", "seed": 1}, "a tabular model takes no seed"),
+        ({"kind": "mystery", "frames": -1}, "model spec is missing field 'vocab_size'"),
+        ({"kind": "mystery", "vocab_size": 0, "frames": -1}, "unknown model kind: 'mystery'"),
+        ({**seeded, "vocab_size": 0, "frames": -1}, "vocab_size must be positive"),
+        ({**unseeded, "blank_prior": 2.0}, "seeded model needs a seed"),
+        ({**tabular, "frames": 2, "payload": [[["1"]]]}, "payload entries must be JSON numbers"),
     ]
     path = tmp_path / "model.json"
-    for spec in cases:
+    for spec, message in cases:
         path.write_text(json.dumps(spec), encoding="utf-8")
         code = main(
             ["decode", "--model", str(path), "--corpus", str(DATA_DIR / "tiny_corpus.jsonl")]
         )
         captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), spec
-        assert captured.err.startswith("error: "), spec
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), spec
     # The unmodified specs still load.
     for spec in (seeded, tabular):
         path.write_text(json.dumps(spec), encoding="utf-8")
@@ -584,53 +607,61 @@ def _exits_two_leaving_nothing(argv: list[str], workspace: Path, capsys, message
     assert _snapshot(workspace) == before
 
 
+# numpy refuses a uint64 table of 2**62 entries with its own text, returns an
+# empty one for 2**63 and cannot size one of 10**20.
+TOO_LARGE_SIZES = (HUGE, 2**62, 2**63, 10**20)
+
+
 def test_a_vocabulary_too_large_for_memory_exits_two(tmp_path: Path, capsys) -> None:
     model = tmp_path / "model.json"
-    model.write_text(
-        json.dumps({"kind": "seeded", "vocab_size": HUGE, "frames": 6, "seed": 1}),
-        encoding="utf-8",
-    )
     corpus = str(DATA_DIR / "tiny_corpus.jsonl")
-    for argv in (
-        ["decode", "--model", str(model), "--corpus", corpus, "--out", str(tmp_path / "h.jsonl")],
-        ["bench", "--model", str(model), "--corpus", corpus, "--out", str(tmp_path / "r.json")],
-        ["verify", "--model", str(model), "--corpus", corpus],
-        [
-            "generate",
-            "--seed", "1",
-            "--count", "1",
-            "--vocab-size", str(HUGE),
-            "--model", str(tmp_path / "g" / "m.json"),
-            "--corpus", str(tmp_path / "g" / "c.jsonl"),
-        ],
-    ):
-        _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
+    inputs = ["--model", str(model), "--corpus", corpus]
+    for size in TOO_LARGE_SIZES:
+        model.write_text(
+            json.dumps({"kind": "seeded", "vocab_size": size, "frames": 6, "seed": 1}),
+            encoding="utf-8",
+        )
+        for argv in (
+            ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
+            ["bench", *inputs, "--out", str(tmp_path / "r.json")],
+            ["verify", *inputs],
+            [
+                "generate",
+                "--seed", "1",
+                "--count", "1",
+                "--vocab-size", str(size),
+                "--model", str(tmp_path / "g" / "m.json"),
+                "--corpus", str(tmp_path / "g" / "c.jsonl"),
+            ],
+        ):
+            _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
 
 
 def test_an_utterance_too_long_for_memory_exits_two(tmp_path: Path, capsys) -> None:
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        '{"id": "short", "frames": 3, "reference": [0]}\n'
-        f'{{"id": "long", "frames": {HUGE}, "reference": [0]}}\n',
-        encoding="utf-8",
-    )
-    model = str(DATA_DIR / "tiny_model.json")
+    inputs = ["--model", str(DATA_DIR / "tiny_model.json"), "--corpus", str(corpus)]
     report = str(tmp_path / "r.json")
-    for argv in (
-        ["decode", "--model", model, "--corpus", str(corpus), "--out", str(tmp_path / "h.jsonl")],
-        ["bench", "--model", model, "--corpus", str(corpus), "--out", report],
-        ["bench", "--model", model, "--corpus", str(corpus), "--workers", "2", "--out", report],
-        [
-            "generate",
-            "--seed", "1",
-            "--count", "1",
-            "--frames-min", str(HUGE),
-            "--frames-max", str(HUGE),
-            "--model", str(tmp_path / "g" / "m.json"),
-            "--corpus", str(tmp_path / "g" / "c.jsonl"),
-        ],
-    ):
-        _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
+    for size in TOO_LARGE_SIZES:
+        corpus.write_text(
+            '{"id": "short", "frames": 3, "reference": [0]}\n'
+            f'{{"id": "long", "frames": {size}, "reference": [0]}}\n',
+            encoding="utf-8",
+        )
+        for argv in (
+            ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
+            ["bench", *inputs, "--out", report],
+            ["bench", *inputs, "--workers", "2", "--out", report],
+            [
+                "generate",
+                "--seed", "1",
+                "--count", "1",
+                "--frames-min", str(size),
+                "--frames-max", str(size),
+                "--model", str(tmp_path / "g" / "m.json"),
+                "--corpus", str(tmp_path / "g" / "c.jsonl"),
+            ],
+        ):
+            _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
 
 
 def _forbid_decoding(monkeypatch) -> None:

@@ -28,7 +28,6 @@ from tokenwise.harness import (
 from tokenwise.logmath import LOG_ZERO
 from tokenwise.metrics import corpus_wer
 from tokenwise.model import (
-    ModelSpec,
     SeededModel,
     TabularModel,
     TokenCapModel,
@@ -36,7 +35,6 @@ from tokenwise.model import (
     load_model,
     load_model_file,
     read_model_spec,
-    write_model_spec,
 )
 from tokenwise.oracle import ENUM_MAX_TOKENS, exact_nbest
 
@@ -166,7 +164,7 @@ def test_load_corpus_missing_file(tmp_path: Path) -> None:
 _SEEDED = {"kind": "seeded", "vocab_size": 2, "frames": 2, "seed": 1}
 
 
-def _read_model_bytes(tmp_path: Path, data: bytes) -> ModelSpec:
+def _read_model_bytes(tmp_path: Path, data: bytes) -> dict:
     path = tmp_path / "model.json"
     path.write_bytes(data)
     return read_model_spec(path)
@@ -179,30 +177,36 @@ def _read_corpus_bytes(tmp_path: Path, data: bytes) -> list[Utterance]:
 
 
 _INVALID_INPUTS = {
-    "spec-not-object": (lambda p: ModelSpec.from_dict([1]), "model spec must be a JSON object"),
-    "spec-kind": (lambda p: ModelSpec.from_dict({**_SEEDED, "kind": "x"}), "unknown model kind"),
+    "spec-not-object": (lambda p: load_model([1]), "model spec must be a JSON object"),
+    "spec-kind": (lambda p: load_model({**_SEEDED, "kind": "x"}), "unknown model kind: 'x'"),
     "spec-unknown-field": (
-        lambda p: ModelSpec.from_dict({**_SEEDED, "zap": 3}),
+        lambda p: load_model({**_SEEDED, "zap": 3}),
         "unknown model spec fields: ['zap']",
     ),
     "spec-field-type": (
-        lambda p: ModelSpec.from_dict({**_SEEDED, "frames": "2"}),
+        lambda p: load_model({**_SEEDED, "frames": "2"}),
         "frames must be an integer",
     ),
     "spec-vocab": (
-        lambda p: ModelSpec.from_dict({**_SEEDED, "vocab_size": 0}),
+        lambda p: load_model({**_SEEDED, "vocab_size": 0}),
         "vocab_size must be positive",
     ),
     "spec-missing-field": (
-        lambda p: ModelSpec.from_dict({"kind": "seeded"}),
-        "model spec is missing field",
+        lambda p: load_model({"kind": "seeded"}),
+        "model spec is missing field 'vocab_size'",
     ),
     "spec-foreign-field": (
-        lambda p: ModelSpec.from_dict({**_SEEDED, "payload": []}),
+        lambda p: load_model({**_SEEDED, "payload": []}),
         "a seeded model takes no payload",
     ),
+    "spec-payload-entry": (
+        lambda p: load_model(
+            {"kind": "tabular", "vocab_size": 1, "frames": 1, "payload": [[["1", 0]]]}
+        ),
+        "payload entries must be JSON numbers",
+    ),
     "spec-blank-prior": (
-        lambda p: ModelSpec.from_dict({**_SEEDED, "blank_prior": 2.0}),
+        lambda p: load_model({**_SEEDED, "blank_prior": 2.0}),
         "blank_prior must lie strictly between 0 and 1",
     ),
     "model-unreadable": (lambda p: read_model_spec(p / "absent.json"), "cannot read model file"),
@@ -214,7 +218,7 @@ _INVALID_INPUTS = {
     ),
     "tabular-frames": (
         lambda p: load_model(
-            ModelSpec(kind="tabular", vocab_size=2, frames=2, payload=[[[0.0, 0.0, 0.0]]])
+            {"kind": "tabular", "vocab_size": 2, "frames": 2, "payload": [[[0.0, 0.0, 0.0]]]}
         ),
         "payload holds 1 frames but spec declares 2",
     ),
@@ -467,9 +471,9 @@ def test_blank_certain_benchmark_has_exact_call_count(tmp_path: Path) -> None:
     vocab_size = 2
     payload = np.full((frames, 1, vocab_size + 1), LOG_ZERO)
     payload[:, :, -1] = 0.0
-    spec = ModelSpec(kind="tabular", vocab_size=vocab_size, frames=frames, payload=payload.tolist())
+    spec = {"kind": "tabular", "vocab_size": vocab_size, "frames": frames}
     model_path = tmp_path / "blank.json"
-    write_model_spec(spec, model_path)
+    model_path.write_text(json.dumps({**spec, "payload": payload.tolist()}), encoding="utf-8")
     corpus_path = _write_lines(
         tmp_path / "blank.jsonl",
         [
@@ -480,6 +484,7 @@ def test_blank_certain_benchmark_has_exact_call_count(tmp_path: Path) -> None:
     report = run_benchmark(
         model_path, corpus_path, beam_sizes=[1, 3], segment_sizes=[1, 2, 3]
     )
+    assert report.meta["model"] == spec
     for beam in (1, 3):
         for segment in (1, 2, 3):
             cell = report.cells[BenchmarkReport.cell_key(beam, segment)]
