@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--beam-size", type=int, default=4)
     dec.add_argument("--segment-size", type=int, default=1)
     dec.add_argument("--nbest", type=int, default=1)
-    dec.add_argument("--max-rounds", type=int, default=None)
     dec.add_argument("--out", default=None, help="write hypotheses as JSONL here")
 
     bench = sub.add_parser("bench", help="sweep beam and segment sizes")
@@ -81,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--nbest", type=int, default=1)
     bench.add_argument("--repeats", type=int, default=1)
     bench.add_argument("--workers", type=int, default=1)
-    bench.add_argument("--max-rounds", type=int, default=None)
     bench.add_argument("--out", default=None, help="write the JSON report here")
 
     ver = sub.add_parser("verify", help="check decoder invariants on a tiny corpus")
@@ -113,10 +111,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     model = load_model_file(args.model)
     utterances = load_corpus(args.corpus, model.vocab, model.max_frames)
     config = DecodeConfig(
-        beam_size=args.beam_size,
-        segment_size=args.segment_size,
-        nbest=args.nbest,
-        max_rounds_per_segment=args.max_rounds,
+        beam_size=args.beam_size, segment_size=args.segment_size, nbest=args.nbest
     )
     check_round_budget(model, utterances, config)
     if args.out is not None:
@@ -173,7 +168,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         nbest=args.nbest,
         repeats=args.repeats,
         workers=args.workers,
-        max_rounds=args.max_rounds,
     )
     if args.out is not None:
         report.write(args.out)

@@ -16,8 +16,8 @@ Both strategies apply the same selection rules (merging, ranking, pruning,
 tie-breaking), so with a segment size of one they make identical decisions
 and produce identical beams. Both hold the beam between frames or segments
 as ranked ``(tokens, score, state)`` entries and share only the ranking,
-the pruning threshold (:func:`_nth_largest`) and the round cap
-(:meth:`DecodeConfig.rounds_cap`). The rest is implemented independently,
+the pruning threshold (:func:`_nth_largest`) and the round cap of
+``ROUNDS_PER_FRAME`` rounds per frame. The rest is implemented independently,
 so each can check the other: the standard decoder scores products along
 each path, the token-wise decoder works on emission-mass arrays.
 
@@ -37,17 +37,16 @@ from .logmath import LOG_ONE, LOG_ZERO, log_add, log_sum_exp
 from .model import EncoderOutput, JoinerCounters, PredictorState, TransducerModel
 
 UNBOUNDED_BEAM = 1_000_000_000
-DEFAULT_ROUNDS_PER_FRAME = 16
+ROUNDS_PER_FRAME = 16
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Search-time knobs shared by both decoding strategies."""
+    """Search settings shared by both decoding strategies."""
 
     beam_size: int
     segment_size: int = 1
     nbest: int = 1
-    max_rounds_per_segment: Optional[int] = None
     mass_tolerance: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
@@ -57,14 +56,6 @@ class DecodeConfig:
             raise ValueError("segment size must be positive")
         if not (1 <= self.nbest <= self.beam_size):
             raise ValueError("nbest must lie in 1..beam_size")
-        if self.max_rounds_per_segment is not None and self.max_rounds_per_segment < 1:
-            raise ValueError("round cap must be positive")
-
-    def rounds_cap(self, segment_size: int) -> int:
-        """Emission-round budget for one segment of ``segment_size`` frames."""
-        if self.max_rounds_per_segment is not None:
-            return self.max_rounds_per_segment
-        return DEFAULT_ROUNDS_PER_FRAME * segment_size
 
 
 @dataclass(frozen=True)
@@ -216,15 +207,15 @@ def _search_segment(
     the lower (member, token) index, so the incoming beam's rank order
     decides them.
 
-    The round cap, scaled by the segment's own width, bounds joiner rounds.
-    When it is reached the surviving group contributes only its
-    blank-finalized scores (already merged this round) and
+    The round cap, ``ROUNDS_PER_FRAME`` times the segment's width, bounds
+    joiner rounds. When it is reached the surviving group contributes only
+    its blank-finalized scores (already merged this round) and
     ``counters.forced_finalizations`` grows by its size; nothing is dropped
     silently. Returns the top ``beam_size`` finished entries in rank order.
     """
     if not (0 <= t_begin < t_end <= encoder.frames):
         raise ValueError(f"segment [{t_begin}, {t_end}) outside utterance")
-    cap = config.rounds_cap(t_end - t_begin)
+    cap = ROUNDS_PER_FRAME * (t_end - t_begin)
     vocab_size = model.vocab.size
     tokens = [entry[0] for entry in beam]
     states = [entry[2] for entry in beam]
@@ -312,7 +303,6 @@ def decode_utterance_standard(
     """
     counters = JoinerCounters() if counters is None else counters
     counters.frames_decoded += encoder.frames
-    cap = config.rounds_cap(1)
     vocab_size = model.vocab.size
     beam = [((), LOG_ONE, model.init_predictor())]
     for t in range(encoder.frames):
@@ -334,7 +324,7 @@ def decode_utterance_standard(
             alive = np.flatnonzero(flat > threshold)
             if alive.size == 0:
                 break
-            if rounds >= cap:
+            if rounds >= ROUNDS_PER_FRAME:
                 counters.forced_finalizations += len(active)
                 break
             order = alive[np.argsort(-flat[alive], kind="stable")]

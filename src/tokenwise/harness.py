@@ -97,7 +97,7 @@ def load_corpus(
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}:{number}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or set(record) != {"id", "frames", "reference"}:
             raise ValueError(
@@ -341,7 +341,6 @@ def run_benchmark(
     nbest: int = 1,
     repeats: int = 1,
     workers: int = 1,
-    max_rounds: Optional[int] = None,
 ) -> BenchmarkReport:
     """Sweep the decode grid and collect error, cost, and timing metrics.
 
@@ -367,10 +366,7 @@ def run_benchmark(
     # the sweep cannot cost a decode of the earlier cells.
     configs = {
         (beam, segment): DecodeConfig(
-            beam_size=beam,
-            segment_size=segment,
-            nbest=min(nbest, beam),
-            max_rounds_per_segment=max_rounds,
+            beam_size=beam, segment_size=segment, nbest=min(nbest, beam)
         )
         for beam in beams
         for segment in segments
@@ -430,7 +426,6 @@ def run_benchmark(
             "segment_sizes": segments,
             "nbest": nbest,
             "repeats": repeats,
-            "max_rounds_per_segment": max_rounds,
         },
     }
     return BenchmarkReport(meta=meta, cells=cells)

@@ -277,9 +277,11 @@ class SeededModel(TransducerModel):
         self.vocab = Vocabulary(vocab_size)
         self.frames = int(frames)
         self.seed = int(seed)
-        self.blank_prior = DEFAULT_BLANK_PRIOR if blank_prior is None else float(blank_prior)
-        if not (0.0 < self.blank_prior < 1.0):
+        prior = DEFAULT_BLANK_PRIOR if blank_prior is None else blank_prior
+        # Checked before float(), which overflows on a JSON integer beyond float range.
+        if not (0.0 < prior < 1.0):
             raise ValueError("blank_prior must lie strictly between 0 and 1")
+        self.blank_prior = float(prior)
         self._seed_key = _mix64(self.seed & _MASK64)
         self._prior_logit = math.log(self.blank_prior / (1.0 - self.blank_prior))
         _check_table_size(vocab_size)
@@ -399,7 +401,7 @@ class TabularModel(TransducerModel):
         self.vocab = Vocabulary(vocab_size)
         try:
             table = np.asarray(payload, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"payload is not a rectangular numeric table: {exc}") from exc
         if table.ndim != 3:
             raise ValueError("payload must be nested as frames x prefixes x symbols")
@@ -528,7 +530,7 @@ def read_model_spec(path: str | Path) -> dict:
         raise ValueError(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"model file {path} is not UTF-8 text: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
 
 

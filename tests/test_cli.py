@@ -765,6 +765,46 @@ def test_an_input_that_is_not_utf8_exits_two_naming_its_file(tmp_path: Path, cap
             _exits_two_leaving_nothing(argv, tmp_path, capsys, re.escape(message))
 
 
+def test_json_beyond_float_range_or_nesting_depth_exits_two(tmp_path: Path, capsys) -> None:
+    huge, deep = "1" + "0" * 400, "[" * 100_000 + "]" * 100_000
+    seeded = '{"kind": "seeded", "vocab_size": 1, "frames": 3, "seed": 1, "blank_prior": %s}'
+    tabular = '{"kind": "tabular", "vocab_size": 1, "frames": 1, "payload": %s}'
+    files = {
+        "prior.json": seeded % huge,
+        "payload.json": tabular % f"[[[{huge}, 0]]]",
+        "nested.json": tabular % deep,
+        "corpus.jsonl": '{"id": "a", "frames": 1, "reference": %s}\n' % deep,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    nested, corpus = tmp_path / "nested.json", tmp_path / "corpus.jsonl"
+    tiny_model, tiny_corpus = DATA_DIR / "tiny_model.json", DATA_DIR / "tiny_corpus.jsonl"
+    too_deep = "maximum recursion depth exceeded.*"
+    for model_arg, corpus_arg, message in (
+        (
+            tmp_path / "prior.json",
+            tiny_corpus,
+            re.escape("blank_prior must lie strictly between 0 and 1"),
+        ),
+        (
+            tmp_path / "payload.json",
+            tiny_corpus,
+            re.escape(
+                "payload is not a rectangular numeric table: int too large to convert to float"
+            ),
+        ),
+        (nested, tiny_corpus, re.escape(f"model file {nested} is not valid JSON: ") + too_deep),
+        (tiny_model, corpus, re.escape(f"{corpus}:1: invalid JSON: ") + too_deep),
+    ):
+        inputs = ["--model", str(model_arg), "--corpus", str(corpus_arg)]
+        for argv in (
+            ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
+            ["bench", *inputs, "--out", str(tmp_path / "r.json")],
+            ["verify", *inputs],
+        ):
+            _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
+
+
 def test_an_out_of_vocabulary_reference_exits_two_naming_its_line(
     tmp_path: Path, capsys
 ) -> None:
@@ -792,16 +832,18 @@ def test_an_out_of_vocabulary_reference_exits_two_naming_its_line(
 # cost time instead of memory (counts, beams, repeats) are never drawn HUGE:
 # such a beam would make the search unbounded. The explicit examples cover
 # two limits checked before any decode, a corpus line longer than a tabular
-# model's table and a beam over the round cell budget; their round cap keeps
-# a decode short should the budget ever let such a beam through. Paths are
+# model's table and a beam over the round cell budget; the latter decodes a
+# vocabulary-1 model, where each hypothesis has one expansion, so its group
+# grows no faster than its rounds and a decode stays short should the budget
+# ever let such a beam through. Paths are
 # relative to a fresh workspace, written as "{ws}/...", that holds a regular
 # file "afile" and an empty directory "adir".
 _WS = "{ws}"
 _BAD_TYPES = [None, True, False, "2", 2.5, [1], ""]
 _SITES = {
     "generate": ["count", "vocab", "frames", "prior", "model-out", "corpus-out"],
-    "decode": ["nbest", "rounds", "beam", "segment", "out"],
-    "bench": ["rounds", "beam", "segment", "repeats", "workers", "out"],
+    "decode": ["nbest", "beam", "segment", "out"],
+    "bench": ["beam", "segment", "repeats", "workers", "out"],
     "verify": [],
 }
 _FILE_SITES = ["model", "vocab", "corpus", "frames", "paths"]
@@ -941,9 +983,6 @@ def _cases(draw, forced: Optional[tuple[str, str]] = None) -> tuple:
     argv = [command, "--model", f"{_WS}/{model_path}", "--corpus", f"{_WS}/{corpus_path}"]
     if command == "verify":
         return files, argv, [], broken
-    rounds = pick("rounds", [None, 1, 3, HUGE], [0, -1])
-    if rounds is not None:
-        argv += ["--max-rounds", str(rounds)]
     if command == "decode":
         beam = pick("beam", [1, 2], [0, -1])
         argv += ["--beam-size", str(beam)]
@@ -982,17 +1021,17 @@ _TABULAR_2 = {"kind": "tabular", "vocab_size": 1, "frames": 2, "payload": [[[0.0
 _LONG_LINE = (
     '{"id": "a", "frames": 2, "reference": [0]}\n{"id": "b", "frames": 5, "reference": [0]}\n'
 )
-_SEEDED_3 = {"kind": "seeded", "vocab_size": 3, "frames": 3, "seed": 1}
+_SEEDED_1 = {"kind": "seeded", "vocab_size": 1, "frames": 3, "seed": 1}
 _SHORT_LINE = '{"id": "a", "frames": 3, "reference": [0]}\n'
-_OVER_BUDGET = ["--beam-size", str(HUGE), "--max-rounds", "2"]
+_OVER_BUDGET = ["--beam-size", str(HUGE)]
 
 
 _LIMIT_CASES = [
     _limit_case("decode", "frames", _TABULAR_2, _LONG_LINE),
     _limit_case("bench", "frames", _TABULAR_2, _LONG_LINE),
     _limit_case("verify", "frames", _TABULAR_2, _LONG_LINE),
-    _limit_case("decode", "beam", _SEEDED_3, _SHORT_LINE, *_OVER_BUDGET),
-    _limit_case("bench", "beam", _SEEDED_3, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET),
+    _limit_case("decode", "beam", _SEEDED_1, _SHORT_LINE, *_OVER_BUDGET),
+    _limit_case("bench", "beam", _SEEDED_1, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET),
 ]
 _FORCED_EXAMPLES = 10
 

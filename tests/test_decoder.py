@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tokenwise.decoder import (
-    DEFAULT_ROUNDS_PER_FRAME,
+    ROUNDS_PER_FRAME,
     DecodeConfig,
     DecodeTrace,
     NBestList,
@@ -250,12 +250,7 @@ def test_decode_config_validation() -> None:
         DecodeConfig(beam_size=1, segment_size=0)
     with pytest.raises(ValueError):
         DecodeConfig(beam_size=1, nbest=2)
-    with pytest.raises(ValueError):
-        DecodeConfig(beam_size=1, max_rounds_per_segment=0)
-    config = DecodeConfig(beam_size=2, segment_size=3)
-    assert config.rounds_cap(3) == 48
-    assert config.rounds_cap(1) == 16
-    assert DecodeConfig(beam_size=2, max_rounds_per_segment=7).rounds_cap(9) == 7
+    assert ROUNDS_PER_FRAME == 16
 
 
 def test_trace_rejects_nan() -> None:
@@ -408,29 +403,19 @@ def test_search_segment_returns_a_ranked_plain_beam() -> None:
 
 
 def test_final_short_segment_gets_a_round_cap_for_its_own_width() -> None:
-    # Blank is all but impossible, so every segment runs into its round cap.
+    # Blank is all but impossible, so every segment, or frame, runs into its round cap.
     payload = np.zeros((5, 1, 2))
     payload[:, :, -1] = -30.0
     model = TabularModel(vocab_size=1, payload=payload.tolist())
-    counters = JoinerCounters()
     config = DecodeConfig(beam_size=1, segment_size=4)
-    decode_utterance_tokenwise(model, model.encode(), config, counters)
-    assert counters.forced_finalizations == 2
-    # frames 0..3 get 4 frames' worth of rounds, the final frame 4 one frame's
-    assert counters.calls == 4 * DEFAULT_ROUNDS_PER_FRAME + DEFAULT_ROUNDS_PER_FRAME
-
-
-def test_round_cap_forces_finalization() -> None:
-    model = SeededModel(vocab_size=4, frames=6, seed=46, blank_prior=0.1)
-    encoder = model.encode(uid="cap")
-    config = DecodeConfig(beam_size=2, segment_size=3, max_rounds_per_segment=1)
-    counters = JoinerCounters()
-    result, _ = decode_utterance_tokenwise(model, encoder, config, counters)
-    assert counters.forced_finalizations > 0
-    assert len(result) >= 1
-    relaxed = JoinerCounters()
-    decode_utterance_tokenwise(model, encoder, DecodeConfig(beam_size=2, segment_size=3), relaxed)
-    assert relaxed.forced_finalizations == 0
+    # The token-wise decoder gives frames 0..3 four frames' worth of rounds and
+    # the final frame 4 one frame's; the standard decoder caps every frame.
+    for decode, forced in ((decode_utterance_tokenwise, 2), (decode_utterance_standard, 5)):
+        counters = JoinerCounters()
+        result, _ = decode(model, model.encode(), config, counters)
+        assert len(result) == 1
+        assert counters.forced_finalizations == forced
+        assert counters.calls == 5 * ROUNDS_PER_FRAME
 
 
 def test_empty_utterance_decodes_to_empty_sequence() -> None:
