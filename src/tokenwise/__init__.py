@@ -33,11 +33,6 @@ from .model import (
     load_model_file,
     read_model_spec,
 )
-from .oracle import (
-    ExactMarginals,
-    exact_marginals,
-    exact_nbest,
-    exact_sequence_marginals,
-)
+from .oracle import exact_marginals, exact_nbest, exact_sequence_marginals
 
 __version__ = "0.1.0"

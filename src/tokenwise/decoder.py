@@ -88,7 +88,6 @@ class NBestList:
 class DecodeTrace:
     """Optional per-round instrumentation used by invariant checks."""
 
-    rounds: int = 0
     mass_checks: int = 0
     max_mass_defect: float = 0.0
 
@@ -106,7 +105,6 @@ class DecodeTrace:
         decoder passes each member's total from its mass row as ``scores``;
         from eight frames numpy may sum it in another order than its score.
         """
-        self.rounds += 1
         with np.errstate(invalid="ignore", over="ignore"):
             totals = np.logaddexp(blank_scores, log_sum_exp(token_scores, 1)[:, 0])
             defects = np.abs(np.exp(scores) * np.expm1(totals - scores))

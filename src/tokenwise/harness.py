@@ -75,12 +75,12 @@ class Utterance:
 
 
 def load_corpus(
-    path: str | Path, vocab: Optional[Vocabulary] = None, max_frames: Optional[int] = None
+    path: str | Path, vocab: Vocabulary, max_frames: Optional[int] = None
 ) -> list[Utterance]:
     """Read a non-empty JSONL corpus.
 
-    Given ``vocab``, reference tokens must lie inside it; given ``max_frames``
-    (a model's limit), no utterance may be longer.
+    Reference tokens must lie inside ``vocab``; given ``max_frames`` (a
+    model's limit), no utterance may be longer.
     """
     path = Path(path)
     utterances: list[Utterance] = []
@@ -127,13 +127,12 @@ def load_corpus(
         if uid in seen_ids:
             raise ValueError(f"{path}:{number}: duplicate utterance id {uid!r}")
         seen_ids.add(uid)
-        if vocab is not None:
-            bad = [t for t in reference if not (0 <= t < vocab.size)]
-            if bad:
-                raise ValueError(
-                    f"{path}:{number}: utterance {uid!r}: reference tokens {bad}"
-                    f" outside vocabulary of size {vocab.size}"
-                )
+        bad = [t for t in reference if not (0 <= t < vocab.size)]
+        if bad:
+            raise ValueError(
+                f"{path}:{number}: utterance {uid!r}: reference tokens {bad}"
+                f" outside vocabulary of size {vocab.size}"
+            )
         utterances.append(Utterance(uid, frames, tuple(reference)))
     if not utterances:
         raise ValueError(f"corpus {path} is empty")
@@ -158,8 +157,9 @@ def generate_corpus(
     vocab_size: int,
     frames_range: tuple[int, int],
     blank_prior: float = DEFAULT_BLANK_PRIOR,
-    model_path: Optional[str | Path] = None,
-    corpus_path: Optional[str | Path] = None,
+    *,
+    model_path: str | Path,
+    corpus_path: str | Path,
 ) -> tuple[dict, list[Utterance]]:
     """Create a seeded model and a matching corpus with reachable references.
 
@@ -167,18 +167,20 @@ def generate_corpus(
     longer run of the same seed extends a shorter one without changing its
     prefix. References come from the exact oracle when the instance is
     small enough and otherwise from a wide-beam segment decode, so they are
-    sequences the model can actually produce. Files are written only when
-    the corresponding path is given. Returns the model file's JSON object
-    and the utterances.
+    sequences the model can actually produce. Both files are written after
+    every utterance is made. Returns the model file's JSON object and the
+    utterances.
     """
     if count < 1:
         raise ValueError("need at least one utterance")
     low, high = int(frames_range[0]), int(frames_range[1])
     if not (0 < low <= high):
         raise ValueError("frame range must satisfy 0 < low <= high")
-    outputs = [path for path in (model_path, corpus_path) if path is not None]
-    for index, path in enumerate(outputs):
-        check_output_path(path, *outputs[:index])
+    check_output_path(model_path)
+    check_output_path(corpus_path, model_path)
+    reference_config = DecodeConfig(beam_size=REFERENCE_BEAM, segment_size=REFERENCE_SEGMENT)
+    # Checked before the model is built: its tables grow with the vocabulary.
+    _check_round_cells(reference_config, min(REFERENCE_SEGMENT, high), vocab_size + 1)
     spec = {
         "kind": "seeded",
         "vocab_size": vocab_size,
@@ -187,11 +189,6 @@ def generate_corpus(
         "blank_prior": blank_prior,
     }
     model = load_model(spec)
-    reference_config = DecodeConfig(
-        beam_size=REFERENCE_BEAM,
-        segment_size=REFERENCE_SEGMENT,
-        nbest=1,
-    )
     utterances = []
     for index in range(count):
         frames = low + _mix64((seed & ((1 << 64) - 1)) ^ (index * 2 + 1)) % (high - low + 1)
@@ -203,10 +200,8 @@ def generate_corpus(
             result, _ = decode_utterance_tokenwise(model, encoder, reference_config)
             reference = result.top
         utterances.append(Utterance(uid, frames, reference))
-    if model_path is not None:
-        write_text_file(model_path, json.dumps(spec, sort_keys=True, indent=2) + "\n")
-    if corpus_path is not None:
-        save_corpus(utterances, corpus_path)
+    write_text_file(model_path, json.dumps(spec, sort_keys=True, indent=2) + "\n")
+    save_corpus(utterances, corpus_path)
     return spec, utterances
 
 
@@ -230,19 +225,6 @@ class BenchmarkReport:
     def write(self, path: str | Path) -> None:
         write_text_file(path, self.to_json())
 
-    @staticmethod
-    def strip_timing(data: dict) -> dict:
-        """Copy of a report dict with every ``timing`` object removed."""
-
-        def strip(node):
-            if isinstance(node, dict):
-                return {k: strip(v) for k, v in node.items() if k != "timing"}
-            if isinstance(node, list):
-                return [strip(v) for v in node]
-            return node
-
-        return strip(data)
-
 
 def _relative_delta(value: Optional[float], baseline: Optional[float]):
     if value is None or baseline is None:
@@ -264,11 +246,15 @@ def check_round_budget(
     out; with it, such a beam fails before any decode.
     """
     width = min(config.segment_size, max((utt.frames for utt in utterances), default=0))
-    cells = config.beam_size * width * model.vocab.num_symbols
+    _check_round_cells(config, width, model.vocab.num_symbols)
+
+
+def _check_round_cells(config: DecodeConfig, width: int, symbols: int) -> None:
+    cells = config.beam_size * width * symbols
     if cells > ROUND_CELL_BUDGET:
         raise ValueError(
             f"beam size {config.beam_size} needs {cells} joiner cells per round ({width}-frame"
-            f" segments x {model.vocab.num_symbols} symbols); the limit is {ROUND_CELL_BUDGET}"
+            f" segments x {symbols} symbols); the limit is {ROUND_CELL_BUDGET}"
         )
 
 

@@ -17,8 +17,6 @@ sequences, up to ``DP_MAX_FRAMES`` frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
 from .model import EncoderOutput, JoinerCounters, TransducerModel
@@ -27,14 +25,6 @@ ENUM_MAX_FRAMES = 6
 ENUM_MAX_VOCAB = 4
 ENUM_MAX_TOKENS = 5
 DP_MAX_FRAMES = 256
-
-
-@dataclass(frozen=True)
-class ExactMarginals:
-    """Alignment-sum marginals for every sequence up to the length cap."""
-
-    marginals: dict
-    excluded_log_mass: float
 
 
 class _Trie:
@@ -92,13 +82,14 @@ class _Trie:
 
 def exact_marginals(
     model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> ExactMarginals:
+) -> tuple[dict, float]:
     """Alignment-sum marginal of every sequence of at most ``max_tokens``.
 
-    Folds every prefix up to the cap once, breadth first, children in
-    token-id order; only marginals above zero are stored. Every emission
-    out of a prefix at the cap log-adds into ``excluded_log_mass``. Only
-    tiny instances are accepted.
+    Returns ``(marginals, excluded_log_mass)``: the marginals by token
+    sequence, only those above zero stored, and the log-mass of every
+    emission out of a prefix at the cap. Folds every prefix up to the cap
+    once, breadth first, children in token-id order. Only tiny instances
+    are accepted.
     """
     if encoder.frames > ENUM_MAX_FRAMES:
         raise ValueError(f"enumeration handles at most {ENUM_MAX_FRAMES} frames")
@@ -120,7 +111,7 @@ def exact_marginals(
             else:
                 for mass in trie.entering(prefix, token):
                     excluded = log_add(excluded, mass)
-    return ExactMarginals(marginals, excluded)
+    return marginals, excluded
 
 
 def exact_sequence_marginals(
@@ -145,6 +136,6 @@ def exact_nbest(
     model: TransducerModel, encoder: EncoderOutput, n: int, max_tokens: int
 ) -> NBestList:
     """Top ``n`` sequences by exact marginal, ranked like the decoders."""
-    exact = exact_marginals(model, encoder, max_tokens)
-    entries = {tokens: (score, None) for tokens, score in exact.marginals.items()}
+    marginals, _ = exact_marginals(model, encoder, max_tokens)
+    entries = {tokens: (score, None) for tokens, score in marginals.items()}
     return NBestList(tuple((tokens, score) for tokens, score, _ in _ranked(entries, n)))

@@ -6,6 +6,8 @@ tokens it emits at each frame, with its own joiner rows, and
 with the column fold of ``tokenwise.oracle``. ``seeded_segment_scores`` is
 the seeded joiner's grid written out term by term, one hash per term and
 its own splitmix64, with none of the model's fused passes.
+``strip_timing`` drops the wall-clock parts of a benchmark report, the only
+parts two runs of one sweep may differ in.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from tokenwise.model import (
     SeededModel,
     TransducerModel,
 )
-from tokenwise.oracle import ExactMarginals
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,19 @@ def path_marginals(model: TransducerModel, encoder: EncoderOutput, max_tokens: i
     }
 
 
-def total_log_mass(exact: ExactMarginals) -> float:
+def total_log_mass(marginals: dict, excluded_log_mass: float) -> float:
     """Mass of complete plus excluded paths; zero in exact arithmetic."""
-    covered = log_sum_exp(np.array(list(exact.marginals.values())), 0)[0]
-    return log_add(float(covered), exact.excluded_log_mass)
+    covered = log_sum_exp(np.array(list(marginals.values())), 0)[0]
+    return log_add(float(covered), excluded_log_mass)
+
+
+def strip_timing(data: dict) -> dict:
+    """Copy of a report dict with every ``timing`` object removed."""
+    if isinstance(data, dict):
+        return {k: strip_timing(v) for k, v in data.items() if k != "timing"}
+    if isinstance(data, list):
+        return [strip_timing(v) for v in data]
+    return data
 
 
 def _mix64_array(values: np.ndarray) -> np.ndarray:

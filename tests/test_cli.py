@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -625,16 +626,29 @@ def test_a_vocabulary_too_large_for_memory_exits_two(tmp_path: Path, capsys) -> 
             ["decode", *inputs, "--out", str(tmp_path / "h.jsonl")],
             ["bench", *inputs, "--out", str(tmp_path / "r.json")],
             ["verify", *inputs],
-            [
-                "generate",
-                "--seed", "1",
-                "--count", "1",
-                "--vocab-size", str(size),
-                "--model", str(tmp_path / "g" / "m.json"),
-                "--corpus", str(tmp_path / "g" / "c.jsonl"),
-            ],
         ):
             _exits_two_leaving_nothing(argv, tmp_path, capsys, TOO_LARGE)
+
+
+def test_generate_over_the_round_cell_budget_exits_two_before_building_a_model(
+    tmp_path: Path, capsys
+) -> None:
+    # The reference decode joins 8 hypotheses over segments of up to 4
+    # frames, so 2**17 tokens make 4,194,336 cells a round, 32 over the
+    # budget. The check comes before the model's per-token tables are built:
+    # a vocabulary too large for memory gets the same message.
+    outputs = ["--model", str(tmp_path / "g" / "m.json")]
+    outputs += ["--corpus", str(tmp_path / "g" / "c.jsonl")]
+    for vocab in (2**17, *TOO_LARGE_SIZES):
+        argv = ["generate", "--seed", "1", "--count", "1", "--vocab-size", str(vocab)]
+        argv += ["--frames-min", "4", "--frames-max", "4", *outputs]
+        message = re.escape(
+            f"beam size 8 needs {8 * 4 * (vocab + 1)} joiner cells per round (4-frame segments"
+            f" x {vocab + 1} symbols); the limit is {harness.ROUND_CELL_BUDGET}"
+        )
+        started = time.perf_counter()
+        _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_an_utterance_too_long_for_memory_exits_two(tmp_path: Path, capsys) -> None:
@@ -720,7 +734,8 @@ def test_a_beam_over_the_round_cell_budget_exits_two_before_any_decode(
         _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
     # The budget bounds beam x effective width x symbols, the width capped at
     # the longest utterance; the check itself decodes nothing.
-    loaded, utterances = load_model_file(model), load_corpus(corpus)
+    loaded = load_model_file(model)
+    utterances = load_corpus(corpus, loaded.vocab)
     largest = budget // (3 * 4)
     harness.check_round_budget(loaded, utterances, DecodeConfig(largest, segment_size=HUGE))
     with pytest.raises(ValueError, match="joiner cells per round"):

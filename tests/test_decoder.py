@@ -265,7 +265,6 @@ def test_trace_accumulates_counts() -> None:
     trace = DecodeTrace()
     trace.record(np.array([0.0]), np.array([[-1.0, -2.0]]), np.array([-0.8]))
     trace.record(np.array([-1.0, -2.0]), np.full((2, 2), -3.0), np.array([-1.5, -2.5]))
-    assert trace.rounds == 2
     assert trace.mass_checks == 3
 
 

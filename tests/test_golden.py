@@ -1,10 +1,13 @@
-"""The CLI's outputs on the bundled tiny pair, compared with recorded files.
+"""The CLI's outputs on the bundled tiny pair, and two bench sweeps, compared with recorded files.
 
 ``tests/golden/`` holds the ``decode --out`` JSONL at N1/S1, N2/S3 and N4/S5
 (nbest equal to the beam), the ``verify`` exit code and lines, and the
 ``bench`` report with timing stripped for beams 1 and 2 by segments 1 and 3.
-Tokens, counts, keys and PASS/FAIL must match exactly; floats must match
-within 1e-12, so a different numpy build does not fail the test.
+``bench_pair.json`` holds the acceptance suite's two sweeps of the bundled
+bench pair, timing stripped: beams 1 and 2, and beam 5 with nbest 5, each by
+segments 1, 2, 3, 5 and 10. Tokens, counts, keys and PASS/FAIL must match
+exactly; floats must match within 1e-12, so a different numpy build does
+not fail the test.
 
 After a change that is meant to alter these outputs, rewrite the files with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
@@ -21,12 +24,15 @@ import tempfile
 from pathlib import Path
 
 from tokenwise.cli import main
-from tokenwise.harness import BenchmarkReport
+
+from reference import strip_timing
+from test_acceptance import _nbest_report, _trend_report
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 FLOAT_TOLERANCE = 1e-12
 DECODE_CELLS = ((1, 1), (2, 3), (4, 5))
+BENCH_PAIR = "bench_pair.json"
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
@@ -56,10 +62,15 @@ def _record(out_dir: Path) -> dict[str, str]:
                     "--out", str(out_dir / "bench.json")])
     assert code == 0
     report = json.loads((out_dir / "bench.json").read_text(encoding="utf-8"))
-    outputs["bench.json"] = json.dumps(
-        BenchmarkReport.strip_timing(report), sort_keys=True, indent=2
-    ) + "\n"
+    outputs["bench.json"] = json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n"
     return outputs
+
+
+def _bench_pair() -> str:
+    """The acceptance suite's sweeps, shared with it through their caches."""
+    reports = {"nbest": _nbest_report(), "trend": _trend_report()}
+    stripped = {name: strip_timing(report.to_dict()) for name, report in reports.items()}
+    return json.dumps(stripped, sort_keys=True, indent=2) + "\n"
 
 
 def _parse(name: str, text: str):
@@ -103,15 +114,21 @@ def _assert_same(actual, expected, where: str) -> None:
 
 def test_cli_outputs_match_the_golden_files(tmp_path: Path) -> None:
     outputs = _record(tmp_path)
-    assert sorted(outputs) == sorted(path.name for path in GOLDEN_DIR.iterdir())
+    assert sorted([*outputs, BENCH_PAIR]) == sorted(path.name for path in GOLDEN_DIR.iterdir())
     for name, text in outputs.items():
         golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         _assert_same(_parse(name, text), _parse(name, golden), name)
 
 
+def test_bench_sweeps_match_the_golden_file() -> None:
+    golden = (GOLDEN_DIR / BENCH_PAIR).read_text(encoding="utf-8")
+    _assert_same(_parse(BENCH_PAIR, _bench_pair()), _parse(BENCH_PAIR, golden), BENCH_PAIR)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         recorded = _record(Path(scratch))
+    recorded[BENCH_PAIR] = _bench_pair()
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, text in recorded.items():
         (GOLDEN_DIR / name).write_text(text, encoding="utf-8")

@@ -38,6 +38,8 @@ from tokenwise.model import (
 )
 from tokenwise.oracle import ENUM_MAX_TOKENS, exact_nbest
 
+from reference import strip_timing
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 # Checksums of the bundled corpora; the generator must keep reproducing them.
@@ -71,12 +73,11 @@ def test_load_corpus_round_trip(tmp_path: Path) -> None:
     ]
     path = tmp_path / "c.jsonl"
     save_corpus(utterances, path)
-    assert load_corpus(path) == utterances
     assert load_corpus(path, Vocabulary(3)) == utterances
     # A blank line between records is skipped.
     first, second = path.read_text(encoding="utf-8").splitlines()
     _write_lines(path, [first, "", second])
-    assert load_corpus(path) == utterances
+    assert load_corpus(path, Vocabulary(3)) == utterances
 
 
 def test_load_corpus_reports_line_numbers(tmp_path: Path) -> None:
@@ -85,7 +86,7 @@ def test_load_corpus_reports_line_numbers(tmp_path: Path) -> None:
         ['{"id": "a", "frames": 2, "reference": []}', "{not json"],
     )
     with pytest.raises(ValueError, match=r":2: invalid JSON"):
-        load_corpus(path)
+        load_corpus(path, Vocabulary(3))
 
 
 def test_load_corpus_rejects_field_drift(tmp_path: Path) -> None:
@@ -95,10 +96,10 @@ def test_load_corpus_rejects_field_drift(tmp_path: Path) -> None:
     )
     fields_message = ":1: expected exactly the fields id, frames, reference"
     with pytest.raises(ValueError, match=re.escape(f"{extra}{fields_message}")):
-        load_corpus(extra)
+        load_corpus(extra, Vocabulary(3))
     missing = _write_lines(tmp_path / "missing.jsonl", ['{"id": "a", "frames": 2}'])
     with pytest.raises(ValueError, match=re.escape(f"{missing}{fields_message}")):
-        load_corpus(missing)
+        load_corpus(missing, Vocabulary(3))
 
 
 def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
@@ -108,20 +109,20 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
     with pytest.raises(
         ValueError, match=re.escape(f"{empty_id}:1: id must be a non-empty string")
     ):
-        load_corpus(empty_id)
+        load_corpus(empty_id, Vocabulary(3))
     bool_frames = _write_lines(
         tmp_path / "bool.jsonl", ['{"id": "a", "frames": true, "reference": []}']
     )
     with pytest.raises(
         ValueError, match=re.escape(f"{bool_frames}:1: frames must be a non-negative integer")
     ):
-        load_corpus(bool_frames)
+        load_corpus(bool_frames, Vocabulary(3))
     for reference in ('"0"', "[0, true]"):
         bad_reference = _write_lines(
             tmp_path / "ref.jsonl", [f'{{"id": "a", "frames": 2, "reference": {reference}}}']
         )
         with pytest.raises(ValueError, match="reference must be a list of integers"):
-            load_corpus(bad_reference)
+            load_corpus(bad_reference, Vocabulary(3))
     dup = _write_lines(
         tmp_path / "dup.jsonl",
         [
@@ -130,7 +131,7 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
         ],
     )
     with pytest.raises(ValueError, match="duplicate"):
-        load_corpus(dup)
+        load_corpus(dup, Vocabulary(3))
     # JSON can escape a lone surrogate, which no UTF-8 text holds.
     surrogate = _write_lines(
         tmp_path / "surrogate.jsonl", ['{"id": "a\\ud800", "frames": 2, "reference": []}']
@@ -138,18 +139,17 @@ def test_load_corpus_rejects_bad_values(tmp_path: Path) -> None:
     with pytest.raises(
         ValueError, match=re.escape(f"{surrogate}:1: id must be valid Unicode text")
     ):
-        load_corpus(surrogate)
+        load_corpus(surrogate, Vocabulary(3))
     latin1 = tmp_path / "latin1.jsonl"
     latin1.write_bytes(b'{"id": "a", "frames": 2, "reference": []}\n{"id": "\xff"}\n')
     with pytest.raises(ValueError, match=re.escape(f"{latin1}:2: not UTF-8 text")):
-        load_corpus(latin1)
+        load_corpus(latin1, Vocabulary(3))
 
 
 def test_load_corpus_checks_vocabulary(tmp_path: Path) -> None:
     path = _write_lines(
         tmp_path / "oov.jsonl", ['{"id": "a", "frames": 2, "reference": [7]}']
     )
-    assert load_corpus(path)[0].reference == (7,)
     with pytest.raises(ValueError) as raised:
         load_corpus(path, Vocabulary(3))
     message = f"{path}:1: utterance 'a': reference tokens [7] outside vocabulary of size 3"
@@ -158,7 +158,7 @@ def test_load_corpus_checks_vocabulary(tmp_path: Path) -> None:
 
 def test_load_corpus_missing_file(tmp_path: Path) -> None:
     with pytest.raises(ValueError, match="cannot read"):
-        load_corpus(tmp_path / "absent.jsonl")
+        load_corpus(tmp_path / "absent.jsonl", Vocabulary(3))
 
 
 _SEEDED = {"kind": "seeded", "vocab_size": 2, "frames": 2, "seed": 1}
@@ -241,7 +241,10 @@ _INVALID_INPUTS = {
     ),
     "corpus-empty": (lambda p: _read_corpus_bytes(p, b"\n"), "is empty"),
     "corpus-not-utf8": (lambda p: _read_corpus_bytes(p, b'{"id": "\xff"}'), ":1: not UTF-8 text"),
-    "corpus-unreadable": (lambda p: load_corpus(p / "absent.jsonl"), "cannot read corpus file"),
+    "corpus-unreadable": (
+        lambda p: load_corpus(p / "absent.jsonl", Vocabulary(2)),
+        "cannot read corpus file",
+    ),
 }
 
 
@@ -252,30 +255,37 @@ def test_invalid_input_raises_plain_value_error(tmp_path: Path, make, message) -
     assert excinfo.type is ValueError
 
 
-def test_generate_corpus_is_deterministic() -> None:
-    spec_a, utts_a = generate_corpus(seed=TINY_SEED, **TINY_PARAMS)
-    spec_b, utts_b = generate_corpus(seed=TINY_SEED, **TINY_PARAMS)
+def _generate(directory: Path, name: str, **params) -> tuple[dict, list[Utterance]]:
+    """``generate_corpus`` writing ``name``'s model and corpus into ``directory``."""
+    model_path, corpus_path = directory / f"{name}.json", directory / f"{name}.jsonl"
+    return generate_corpus(model_path=model_path, corpus_path=corpus_path, **params)
+
+
+def test_generate_corpus_is_deterministic(tmp_path: Path) -> None:
+    spec_a, utts_a = _generate(tmp_path, "a", seed=TINY_SEED, **TINY_PARAMS)
+    spec_b, utts_b = _generate(tmp_path, "b", seed=TINY_SEED, **TINY_PARAMS)
     assert spec_a == spec_b
     assert utts_a == utts_b
 
 
-def test_generate_corpus_prefix_stability() -> None:
-    _, short = generate_corpus(seed=5, count=5, vocab_size=4, frames_range=(3, 6))
-    _, long = generate_corpus(seed=5, count=10, vocab_size=4, frames_range=(3, 6))
+def test_generate_corpus_prefix_stability(tmp_path: Path) -> None:
+    _, short = _generate(tmp_path, "short", seed=5, count=5, vocab_size=4, frames_range=(3, 6))
+    _, long = _generate(tmp_path, "long", seed=5, count=10, vocab_size=4, frames_range=(3, 6))
     assert long[:5] == short
 
 
-def test_generate_corpus_validation() -> None:
+def test_generate_corpus_validation(tmp_path: Path) -> None:
     with pytest.raises(ValueError):
-        generate_corpus(seed=1, count=0, vocab_size=4, frames_range=(3, 6))
+        _generate(tmp_path, "c", seed=1, count=0, vocab_size=4, frames_range=(3, 6))
     with pytest.raises(ValueError):
-        generate_corpus(seed=1, count=1, vocab_size=4, frames_range=(6, 3))
+        _generate(tmp_path, "c", seed=1, count=1, vocab_size=4, frames_range=(6, 3))
     with pytest.raises(ValueError):
-        generate_corpus(seed=1, count=1, vocab_size=4, frames_range=(0, 3))
+        _generate(tmp_path, "c", seed=1, count=1, vocab_size=4, frames_range=(0, 3))
+    assert not any(tmp_path.iterdir())
 
 
-def test_tiny_references_match_exact_oracle() -> None:
-    spec, utterances = generate_corpus(seed=TINY_SEED, **TINY_PARAMS)
+def test_tiny_references_match_exact_oracle(tmp_path: Path) -> None:
+    spec, utterances = _generate(tmp_path, "tiny", seed=TINY_SEED, **TINY_PARAMS)
     model = load_model(spec)
     for utt in utterances:
         encoder = model.encode(utt.frames, utt.uid)
@@ -309,7 +319,7 @@ def test_report_cell_key_and_timing_strip() -> None:
         "cells": {"N1/S1": {"wer": 0.5, "timing": {"wall_time_sec": 3.0}}},
         "list": [{"timing": 1, "ok": True}],
     }
-    stripped = BenchmarkReport.strip_timing(data)
+    stripped = strip_timing(data)
     assert stripped == {
         "meta": {"keep": 2},
         "cells": {"N1/S1": {"wer": 0.5}},
@@ -400,8 +410,8 @@ def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
         grid = dict(beam_sizes=[2], segment_sizes=[1, 2], repeats=repeats)
         serial = run_benchmark(model_path, corpus_path, **grid)
         parallel = run_benchmark(model_path, corpus_path, **grid, workers=2)
-        serial_clean = BenchmarkReport.strip_timing(serial.to_dict())
-        parallel_clean = BenchmarkReport.strip_timing(parallel.to_dict())
+        serial_clean = strip_timing(serial.to_dict())
+        parallel_clean = strip_timing(parallel.to_dict())
         assert serial_clean == parallel_clean
 
 

@@ -39,16 +39,16 @@ def test_total_path_mass_is_one() -> None:
     for _ in range(30):
         model, _ = _tiny_model(rng)
         exact = exact_marginals(model, model.encode(uid="mass"), CAP)
-        assert abs(total_log_mass(exact)) < 1e-12
+        assert abs(total_log_mass(*exact)) < 1e-12
 
 
 def test_truncated_mass_is_separated_not_dropped() -> None:
     model = SeededModel(vocab_size=2, frames=4, seed=7, blank_prior=0.3)
-    exact = exact_marginals(model, model.encode(uid="trunc"), 1)
-    assert exact.excluded_log_mass > LOG_ZERO
-    covered = log_sum_exp(np.array(list(exact.marginals.values())), 0)[0]
+    marginals, excluded = exact_marginals(model, model.encode(uid="trunc"), 1)
+    assert excluded > LOG_ZERO
+    covered = log_sum_exp(np.array(list(marginals.values())), 0)[0]
     assert covered < 0.0
-    assert abs(total_log_mass(exact)) < 1e-12
+    assert abs(total_log_mass(marginals, excluded)) < 1e-12
 
 
 def test_paths_reconstruct_their_sequences() -> None:
@@ -71,13 +71,13 @@ def test_marginal_is_sum_over_any_path_ordering() -> None:
     by_sequence: dict = {}
     for path in paths:
         by_sequence.setdefault(path.tokens, []).append(path.log_prob)
-    exact = exact_marginals(model, encoder, CAP)
+    marginals, _ = exact_marginals(model, encoder, CAP)
     for tokens, terms in by_sequence.items():
         for trial in range(5):
             shuffled = list(terms)
             np.random.default_rng(trial).shuffle(shuffled)
             total = log_sum_exp(np.array(shuffled), 0)[0]
-            assert abs(total - exact.marginals.get(tokens, LOG_ZERO)) < 1e-12
+            assert abs(total - marginals.get(tokens, LOG_ZERO)) < 1e-12
 
 
 def test_enumeration_agrees_with_forward_dp() -> None:
@@ -85,13 +85,13 @@ def test_enumeration_agrees_with_forward_dp() -> None:
     for _ in range(25):
         model, _ = _tiny_model(rng)
         encoder = model.encode(uid="dual")
-        dp = exact_marginals(model, encoder, CAP)
+        dp, _ = exact_marginals(model, encoder, CAP)
         enum = path_marginals(model, encoder, CAP)
-        reachable = {seq for seq, val in dp.marginals.items() if val > LOG_ZERO}
+        reachable = {seq for seq, val in dp.items() if val > LOG_ZERO}
         enum_reachable = {seq for seq, val in enum.items() if val > LOG_ZERO}
         assert reachable == enum_reachable
         for seq in reachable:
-            assert abs(dp.marginals[seq] - enum[seq]) < 1e-12
+            assert abs(dp[seq] - enum[seq]) < 1e-12
 
 
 def test_sequence_marginal_empty_utterance() -> None:
@@ -119,9 +119,7 @@ def test_sequence_marginals_handle_a_sequence_longer_than_the_recursion_limit() 
 
 def test_event_stream_covers_empty_utterance() -> None:
     model = SeededModel(vocab_size=2, frames=3, seed=9)
-    exact = exact_marginals(model, model.encode(frames=0), CAP)
-    assert exact.marginals == {(): LOG_ONE}
-    assert exact.excluded_log_mass == LOG_ZERO
+    assert exact_marginals(model, model.encode(frames=0), CAP) == ({(): LOG_ONE}, LOG_ZERO)
 
 
 def test_enumeration_limits_are_enforced() -> None:
@@ -224,8 +222,8 @@ def test_nbest_returns_all_when_n_exceeds_sequences() -> None:
     model = SeededModel(vocab_size=2, frames=2, seed=11)
     capped = TokenCapModel(model, cap=2)
     encoder = capped.encode(uid="all")
-    exact = exact_marginals(capped, encoder, 2)
-    reachable = {seq for seq, val in exact.marginals.items() if val > LOG_ZERO or seq == ()}
+    marginals, _ = exact_marginals(capped, encoder, 2)
+    reachable = {seq for seq, val in marginals.items() if val > LOG_ZERO or seq == ()}
     result = exact_nbest(capped, encoder, 1000, 2)
     assert {tokens for tokens, _ in result.entries} == reachable
 
@@ -269,6 +267,6 @@ def test_zero_probability_branches_stay_out_of_marginals() -> None:
     probs[:, :, 0] = math.log(0.5)
     probs[:, :, 2] = math.log(0.5)
     model = TabularModel(vocab_size=2, payload=probs.tolist())
-    exact = exact_marginals(model, model.encode(), 2)
-    for tokens in exact.marginals:
+    marginals, _ = exact_marginals(model, model.encode(), 2)
+    for tokens in marginals:
         assert 1 not in tokens
