@@ -3,7 +3,7 @@
 Subcommands: ``generate`` builds a seeded model and corpus, ``decode`` runs
 one decode configuration over a corpus, ``bench`` sweeps a grid of beam and
 segment sizes into a JSON report, and ``verify`` checks the decoding
-invariants against the exact oracle on a tiny corpus.
+invariants against the exact oracle on a corpus within its cell budget.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 for
 invalid inputs, inputs too large to fit in memory, or file problems.
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--out", default=None, help="write the JSON report here")
 
-    ver = sub.add_parser("verify", help="check decoder invariants on a tiny corpus")
+    ver = sub.add_parser("verify", help="check decoder invariants against the exact oracle")
     ver.add_argument("--model", required=True)
     ver.add_argument("--corpus", required=True)
     return parser

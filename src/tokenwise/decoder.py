@@ -28,6 +28,7 @@ search has explored, never a Viterbi maximum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
@@ -50,6 +51,9 @@ class DecodeConfig:
     mass_tolerance: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("beam_size", "segment_size", "nbest"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.beam_size < 1:
             raise ValueError("beam size must be positive")
         if self.segment_size < 1:

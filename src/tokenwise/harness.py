@@ -41,19 +41,16 @@ from .model import (
     read_model_spec,
     write_text_file,
 )
-from .oracle import (
-    ENUM_MAX_FRAMES,
-    ENUM_MAX_VOCAB,
-    ENUM_MAX_TOKENS,
-    exact_nbest,
-    exact_sequence_marginals,
-)
+from .oracle import capped_prefixes, check_oracle_budget, exact_nbest, exact_sequence_marginals
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
+REFERENCE_EXACT_FRAMES = 6
+REFERENCE_EXACT_VOCAB = 4
+REFERENCE_EXACT_TOKENS = 5
 VERIFY_BEAM_SIZES = (1, 2, 5)
 VERIFY_MAX_TOKENS = 4
 # A 32 MiB float64 joiner grid; a round's lists of Python floats take a few times that.
@@ -165,9 +162,9 @@ def generate_corpus(
 
     Frame counts are drawn per utterance from a hash of (seed, index), so a
     longer run of the same seed extends a shorter one without changing its
-    prefix. References come from the exact oracle when the instance is
-    small enough and otherwise from a wide-beam segment decode, so they are
-    sequences the model can actually produce. Both files are written after
+    prefix. References are sequences the model can produce: the exact
+    oracle's top on instances within the ``REFERENCE_EXACT_*`` sizes, else
+    the top of a wide-beam segment decode. Both files are written after
     every utterance is made. Returns the model file's JSON object and the
     utterances.
     """
@@ -194,8 +191,8 @@ def generate_corpus(
         frames = low + _mix64((seed & ((1 << 64) - 1)) ^ (index * 2 + 1)) % (high - low + 1)
         uid = f"utt-{index:04d}"
         encoder = model.encode(frames, uid)
-        if frames <= ENUM_MAX_FRAMES and vocab_size <= ENUM_MAX_VOCAB:
-            reference = exact_nbest(model, encoder, 1, ENUM_MAX_TOKENS).top
+        if frames <= REFERENCE_EXACT_FRAMES and vocab_size <= REFERENCE_EXACT_VOCAB:
+            reference = exact_nbest(model, encoder, 1, REFERENCE_EXACT_TOKENS).top
         else:
             result, _ = decode_utterance_tokenwise(model, encoder, reference_config)
             reference = result.top
@@ -448,10 +445,9 @@ def _compare_entries(
 
 
 def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[PropertyResult, ...]:
-    """Check the decoding invariants end to end on a tiny corpus.
+    """Check the decoding invariants end to end against the exact oracle.
 
-    Instances must be small enough for the exact oracle (it re-derives
-    every marginal by the forward DP); zero-frame utterances are allowed.
+    Before any decode, the oracle must fit ``check_oracle_budget``; zero frames are allowed.
     Returns five results, in this order: the segment decoder at segment size
     one matches the frame-synchronous reference decoder (s1-equivalence);
     with a token cap of ``VERIFY_MAX_TOKENS`` and an unbounded beam it reproduces
@@ -463,14 +459,8 @@ def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[Pro
     """
     if not utterances:
         raise ValueError("verification needs at least one utterance")
-    for utt in utterances:
-        if utt.frames > ENUM_MAX_FRAMES:
-            raise ValueError(
-                f"utterance {utt.uid!r} has {utt.frames} frames;"
-                f" verification handles at most {ENUM_MAX_FRAMES}"
-            )
-    if model.vocab.size > ENUM_MAX_VOCAB:
-        raise ValueError(f"verification handles vocabularies up to {ENUM_MAX_VOCAB}")
+    longest = max(utt.frames for utt in utterances)
+    check_oracle_budget(model, longest, capped_prefixes(model.vocab.size, VERIFY_MAX_TOKENS))
 
     # A capped model encodes as its inner model, so one encoder per utterance
     # serves every check; each decode configuration runs once.

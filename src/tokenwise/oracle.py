@@ -6,25 +6,24 @@ of the last frame is emitted. The marginal probability of a token sequence
 is the sum over all of its alignment paths. One forward dynamic program
 over the prefix trie of an utterance sums them: a prefix's column holds the
 mass of the paths that stand at each frame having emitted exactly that
-prefix, and each prefix is joined and folded once. ``exact_marginals``
-expands every prefix up to a token cap on a tiny instance, so the path set
+prefix, and each prefix is joined and folded once, so its work is held to
+``ORACLE_CELL_BUDGET`` joiner cells: prefixes x frames x symbols.
+``exact_marginals`` expands every prefix up to a token cap, so the path set
 is finite; every emission out of a prefix at the cap is accounted for in
 ``excluded_log_mass`` rather than dropped, so the total mass over complete
 and excluded paths is exactly one. ``exact_nbest`` ranks its sequences like
-the decoders do. ``exact_sequence_marginals`` gives the marginals of given
-sequences, up to ``DP_MAX_FRAMES`` frames.
+the decoders do. ``exact_sequence_marginals`` gives those of given sequences.
 """
 
 from __future__ import annotations
+
+import numbers
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
 from .model import EncoderOutput, JoinerCounters, TransducerModel
 
-ENUM_MAX_FRAMES = 6
-ENUM_MAX_VOCAB = 4
-ENUM_MAX_TOKENS = 5
-DP_MAX_FRAMES = 256
+ORACLE_CELL_BUDGET = 2**22  # a 32 MiB float64 grid, as ``harness.ROUND_CELL_BUDGET``
 
 
 class _Trie:
@@ -80,6 +79,23 @@ class _Trie:
         return self._nodes[prefix][2]
 
 
+def capped_prefixes(vocab: int, cap: int) -> int:
+    """The number of sequences of at most ``cap`` tokens: the sum of ``vocab**k`` for k <= cap."""
+    return (vocab ** (cap + 1) - 1) // (vocab - 1) if vocab > 1 else cap + 1
+
+
+def check_oracle_budget(model: TransducerModel, frames: int, prefixes: int) -> None:
+    """Reject a trie of ``prefixes`` over ``frames`` above ``ORACLE_CELL_BUDGET`` cells."""
+    # Zero frames count as one, since the trie still visits every prefix.
+    frames, symbols = max(frames, 1), model.vocab.num_symbols
+    cells = prefixes * frames * symbols
+    if cells > ORACLE_CELL_BUDGET:
+        raise ValueError(
+            f"the exact oracle needs {cells} joiner cells ({prefixes} prefixes x {frames}"
+            f" frames x {symbols} symbols); the limit is {ORACLE_CELL_BUDGET}"
+        )
+
+
 def exact_marginals(
     model: TransducerModel, encoder: EncoderOutput, max_tokens: int
 ) -> tuple[dict, float]:
@@ -88,15 +104,13 @@ def exact_marginals(
     Returns ``(marginals, excluded_log_mass)``: the marginals by token
     sequence, only those above zero stored, and the log-mass of every
     emission out of a prefix at the cap. Folds every prefix up to the cap
-    once, breadth first, children in token-id order. Only tiny instances
-    are accepted.
+    once, breadth first, children in token-id order, so the cap's
+    ``capped_prefixes`` must fit ``check_oracle_budget``.
     """
-    if encoder.frames > ENUM_MAX_FRAMES:
-        raise ValueError(f"enumeration handles at most {ENUM_MAX_FRAMES} frames")
-    if model.vocab.size > ENUM_MAX_VOCAB:
-        raise ValueError(f"enumeration handles vocabularies up to {ENUM_MAX_VOCAB}")
-    if not (0 <= max_tokens <= ENUM_MAX_TOKENS):
-        raise ValueError(f"token cap must lie in 0..{ENUM_MAX_TOKENS}")
+    if not isinstance(max_tokens, numbers.Integral) or max_tokens < 0:
+        raise ValueError("token cap must be a non-negative integer")
+    max_tokens = int(max_tokens)
+    check_oracle_budget(model, encoder.frames, capped_prefixes(model.vocab.size, max_tokens))
     trie = _Trie(model, encoder)
     marginals: dict = {}
     excluded = LOG_ZERO
@@ -120,15 +134,16 @@ def exact_sequence_marginals(
     """Alignment-sum marginal of each of ``sequences``, in order.
 
     Every prefix of the sequences is joined and folded once, so sequences
-    that share a prefix share its work.
+    that share a prefix share its work; ``check_oracle_budget`` counts each once.
     """
-    if encoder.frames > DP_MAX_FRAMES:
-        raise ValueError(f"forward DP handles at most {DP_MAX_FRAMES} frames")
-    trie = _Trie(model, encoder)
+    if not all(isinstance(k, numbers.Integral) for tokens in sequences for k in tokens):
+        raise ValueError("sequence tokens must be integers")
     sequences = [tuple(int(k) for k in tokens) for tokens in sequences]
-    for tokens in sequences:
-        for u in range(len(tokens) + 1):
-            trie.column(tokens[:u])
+    prefixes = {()} | {tokens[:u] for tokens in sequences for u in range(1, len(tokens) + 1)}
+    check_oracle_budget(model, encoder.frames, len(prefixes))
+    trie = _Trie(model, encoder)
+    for prefix in sorted(prefixes, key=len):  # parents first
+        trie.column(prefix)
     return [trie.column(tokens)[-1] for tokens in sequences]
 
 

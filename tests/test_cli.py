@@ -846,11 +846,12 @@ def test_an_out_of_vocabulary_reference_exits_two_naming_its_line(
 # between, where an allocation could succeed and take gigabytes. Sizes that
 # cost time instead of memory (counts, beams, repeats) are never drawn HUGE:
 # such a beam would make the search unbounded. The explicit examples cover
-# two limits checked before any decode, a corpus line longer than a tabular
-# model's table and a beam over the round cell budget; the latter decodes a
-# vocabulary-1 model, where each hypothesis has one expansion, so its group
-# grows no faster than its rounds and a decode stays short should the budget
-# ever let such a beam through. Paths are
+# three limits checked before any decode: a corpus line longer than a tabular
+# model's table, a beam over the round cell budget and a `verify` instance
+# over the oracle cell budget. The beam case decodes a vocabulary-1 model,
+# where each hypothesis has one expansion, so its group grows no faster than
+# its rounds and a decode stays short should the budget ever let such a beam
+# through. Paths are
 # relative to a fresh workspace, written as "{ws}/...", that holds a regular
 # file "afile" and an empty directory "adir".
 _WS = "{ws}"
@@ -1039,6 +1040,8 @@ _LONG_LINE = (
 _SEEDED_1 = {"kind": "seeded", "vocab_size": 1, "frames": 3, "seed": 1}
 _SHORT_LINE = '{"id": "a", "frames": 3, "reference": [0]}\n'
 _OVER_BUDGET = ["--beam-size", str(HUGE)]
+# Its oracle trie at cap 4 holds 2,625,641 prefixes x 3 frames x 41 symbols.
+_SEEDED_40 = {**_SEEDED_1, "vocab_size": 40}
 
 
 _LIMIT_CASES = [
@@ -1047,6 +1050,7 @@ _LIMIT_CASES = [
     _limit_case("verify", "frames", _TABULAR_2, _LONG_LINE),
     _limit_case("decode", "beam", _SEEDED_1, _SHORT_LINE, *_OVER_BUDGET),
     _limit_case("bench", "beam", _SEEDED_1, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET),
+    _limit_case("verify", "vocab", _SEEDED_40, _SHORT_LINE),
 ]
 _FORCED_EXAMPLES = 10
 
@@ -1086,6 +1090,8 @@ def test_every_command_keeps_the_input_contract() -> None:
         if _run_case(files, argv, outputs) == 2:
             rejected.add((argv[0], broken))
 
+    # Each limit is refused, not only the site it breaks.
+    assert [_run_case(*case[:3]) for case in _LIMIT_CASES] == [2] * len(_LIMIT_CASES)
     deterministic = settings(deadline=None, derandomize=True, database=None)
     drawn = given(case=_cases())(check)
     for case in _LIMIT_CASES:

@@ -250,6 +250,15 @@ def test_decode_config_validation() -> None:
         DecodeConfig(beam_size=1, segment_size=0)
     with pytest.raises(ValueError):
         DecodeConfig(beam_size=1, nbest=2)
+    # Non-integers fail here, not mid-decode as a slice or range TypeError.
+    for field, value in (("beam_size", 2.5), ("segment_size", 1.5), ("nbest", 1.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DecodeConfig(**{"beam_size": 3, field: value})
+    model = SeededModel(vocab_size=3, frames=5, seed=2)
+    encoder = model.encode(uid="numpy-sizes")
+    numpy_sizes = DecodeConfig(np.int64(2), segment_size=np.int32(3), nbest=np.int64(2))
+    want, _ = decode_utterance_tokenwise(model, encoder, DecodeConfig(2, 3, 2))
+    assert decode_utterance_tokenwise(model, encoder, numpy_sizes)[0] == want
     assert ROUNDS_PER_FRAME == 16
 
 

@@ -36,7 +36,7 @@ from tokenwise.model import (
     load_model_file,
     read_model_spec,
 )
-from tokenwise.oracle import ENUM_MAX_TOKENS, exact_nbest
+from tokenwise.oracle import ORACLE_CELL_BUDGET, exact_nbest
 
 from reference import strip_timing
 
@@ -289,7 +289,7 @@ def test_tiny_references_match_exact_oracle(tmp_path: Path) -> None:
     model = load_model(spec)
     for utt in utterances:
         encoder = model.encode(utt.frames, utt.uid)
-        best = exact_nbest(model, encoder, 1, ENUM_MAX_TOKENS).top
+        best = exact_nbest(model, encoder, 1, harness.REFERENCE_EXACT_TOKENS).top
         assert utt.reference == best
 
 
@@ -526,17 +526,24 @@ def test_verify_passes_on_bundled_tiny_corpus(monkeypatch) -> None:
         assert result.max_defect < 1e-9
 
 
-def test_verify_rejects_oversized_instances() -> None:
+def test_verify_rejects_oversized_instances(monkeypatch) -> None:
     model = SeededModel(vocab_size=2, frames=3, seed=3)
     with pytest.raises(ValueError):
         verify(model, [])
-    with pytest.raises(ValueError):
-        verify(model, [Utterance(uid="long", frames=7, reference=())])
-    big = SeededModel(vocab_size=5, frames=3, seed=3)
-    with pytest.raises(ValueError):
-        verify(big, [Utterance(uid="a", frames=3, reference=())])
-    # A zero-frame utterance is within the oracle's limits: all five properties pass.
-    results = verify(model, [Utterance(uid="empty", frames=0, reference=())])
+    # The oracle's trie at cap 4 over vocabulary 2 joins 31 prefixes x 3 symbols
+    # per frame, so 45,100 frames fit the budget and 45,101 do not.
+    assert 45100 * 93 <= ORACLE_CELL_BUDGET < 45101 * 93
+    longest = [Utterance(uid="short", frames=3, reference=()), Utterance("long", 45101, ())]
+    big = SeededModel(vocab_size=40, frames=3, seed=3)
+    monkeypatch.setattr(harness, "decode_utterance_tokenwise", None)  # no decode may start
+    with pytest.raises(ValueError, match="needs 4194393 joiner cells"):
+        verify(model, longest)
+    with pytest.raises(ValueError, match=r"\(2625641 prefixes x 1 frames x 41 symbols\)"):
+        verify(big, [Utterance(uid="a", frames=1, reference=())])
+    monkeypatch.undo()
+    # A zero-frame utterance and a 100-frame one are within the budget: all five properties pass.
+    utterances = [Utterance(uid="empty", frames=0, reference=()), Utterance("long", 100, ())]
+    results = verify(model, utterances)
     assert [result.passed for result in results] == [True] * 5
 
 

@@ -8,15 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenwise.decoder import DecodeConfig, decode_utterance_tokenwise
+from tokenwise.decoder import UNBOUNDED_BEAM, DecodeConfig, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
 from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_sum_exp
 from tokenwise.model import SeededModel, TabularModel, TokenCapModel, load_model_file
 from tokenwise.oracle import (
-    DP_MAX_FRAMES,
-    ENUM_MAX_FRAMES,
-    ENUM_MAX_TOKENS,
-    ENUM_MAX_VOCAB,
+    ORACLE_CELL_BUDGET,
+    capped_prefixes,
+    check_oracle_budget,
     exact_marginals,
     exact_nbest,
     exact_sequence_marginals,
@@ -29,8 +28,9 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def _tiny_model(rng: np.random.Generator) -> tuple[SeededModel, int]:
-    frames = int(rng.integers(1, ENUM_MAX_FRAMES + 1))
-    vocab = int(rng.integers(1, ENUM_MAX_VOCAB + 1))
+    # Tiny, because the reference path enumeration grows exponentially with frames.
+    frames = int(rng.integers(1, 7))
+    vocab = int(rng.integers(1, 5))
     return SeededModel(vocab_size=vocab, frames=frames, seed=int(rng.integers(1, 2**31))), frames
 
 
@@ -108,6 +108,14 @@ def test_sequence_marginals_reject_tokens_outside_the_vocabulary() -> None:
         for tokens in ((-1,), (size,), (size + 1,), (0, 99)):
             with pytest.raises(ValueError, match="outside vocabulary"):
                 exact_sequence_marginals(model, encoder, [tokens])
+        # A float token is refused, not truncated to the integer below it.
+        for tokens in ((1.5,), (0, 1.0)):
+            with pytest.raises(ValueError, match="tokens must be integers"):
+                exact_sequence_marginals(model, encoder, [tokens])
+        numpy_tokens = (np.int64(1), np.int32(0))
+        assert exact_sequence_marginals(model, encoder, [numpy_tokens]) == (
+            exact_sequence_marginals(model, encoder, [(1, 0)])
+        )
 
 
 def test_sequence_marginals_handle_a_sequence_longer_than_the_recursion_limit() -> None:
@@ -123,18 +131,30 @@ def test_event_stream_covers_empty_utterance() -> None:
 
 
 def test_enumeration_limits_are_enforced() -> None:
-    big_frames = SeededModel(vocab_size=2, frames=ENUM_MAX_FRAMES + 1, seed=1)
-    with pytest.raises(ValueError):
-        exact_marginals(big_frames, big_frames.encode(), CAP)
-    big_vocab = SeededModel(vocab_size=ENUM_MAX_VOCAB + 1, frames=2, seed=1)
-    with pytest.raises(ValueError):
-        exact_marginals(big_vocab, big_vocab.encode(), CAP)
+    assert [capped_prefixes(1, cap) for cap in (0, 4)] == [1, 5]
+    assert [capped_prefixes(4, cap) for cap in (0, 1, 4)] == [1, 5, 341]
+    # The budget is prefixes x frames x symbols, a zero-frame utterance counting as one frame.
     small = SeededModel(vocab_size=2, frames=2, seed=1)
-    with pytest.raises(ValueError):
-        exact_marginals(small, small.encode(), ENUM_MAX_TOKENS + 1)
-    long_utt = SeededModel(vocab_size=2, frames=DP_MAX_FRAMES + 1, seed=1)
-    with pytest.raises(ValueError):
-        exact_sequence_marginals(long_utt, long_utt.encode(), [(0,)])
+    for frames in (0, 1, 7):
+        fitting = ORACLE_CELL_BUDGET // (max(frames, 1) * 3)
+        check_oracle_budget(small, frames, fitting)
+        with pytest.raises(ValueError, match=f"the limit is {ORACLE_CELL_BUDGET}$"):
+            check_oracle_budget(small, frames, fitting + 1)
+    # Over the budget, each route fails before its first join.
+    huge_vocab = _JoinCounting(SeededModel(vocab_size=10**6, frames=1, seed=1))
+    with pytest.raises(ValueError, match=r"needs \d+ joiner cells \(\d+ prefixes x 1 frames"):
+        exact_marginals(huge_vocab, huge_vocab.encode(0), 5)
+    long_utt = _JoinCounting(SeededModel(vocab_size=2, frames=1000, seed=1))
+    too_many = [(0,) * 1398, (1,) * 1]  # 1,400 prefixes x 1,000 frames x 3 symbols
+    with pytest.raises(ValueError, match="needs 4200000 joiner cells"):
+        exact_sequence_marginals(long_utt, long_utt.encode(), too_many)
+    assert huge_vocab.joins == long_utt.joins == 0
+    for cap in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="token cap must be a non-negative integer"):
+            exact_marginals(small, small.encode(), cap)
+    assert exact_marginals(small, small.encode(), np.int64(2)) == exact_marginals(
+        small, small.encode(), 2
+    )
     with pytest.raises(ValueError):
         exact_nbest(small, small.encode(), 0, CAP)
 
@@ -144,7 +164,6 @@ def test_bench_scores_never_exceed_the_true_marginal() -> None:
     # lower bound on the forward-DP marginal, here at bench scale (90-110 frames).
     model = load_model_file(DATA_DIR / "bench_model.json")
     utterances = load_corpus(DATA_DIR / "bench_corpus.jsonl", model.vocab)[:20]
-    assert max(u.frames for u in utterances) <= DP_MAX_FRAMES
     checked = 0
     for beam, segment in ((1, 1), (4, 5), (1, 10)):
         config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
@@ -158,6 +177,41 @@ def test_bench_scores_never_exceed_the_true_marginal() -> None:
                 assert score <= marginal + 1e-9
                 checked += 1
     assert checked == 20 * (1 + 4 + 1)
+
+
+def _bench_length_tabular() -> TabularModel:
+    """100 frames, vocabulary 3, with ``-inf`` logits: blank-certain rows, and token 1
+    impossible at prefix depth 2, so every sequence with 1 in third place has no mass."""
+    rng = np.random.default_rng(7)
+    logits = rng.choice([LOG_ZERO, -2.0, 0.0, 1.5], size=(100, 6, 4))
+    logits[rng.random((100, 6)) < 0.3, :-1] = LOG_ZERO
+    logits[:, 2, 1] = LOG_ZERO
+    logits[:, :, -1] = np.maximum(logits[:, :, -1], 2.0)
+    return TabularModel(vocab_size=3, payload=logits.tolist())
+
+
+def test_oracle_exactness_and_segment_invariance_at_bench_length() -> None:
+    # Unbounded-beam decodes of a token-capped model at bench length (100
+    # frames) list exactly the oracle's sequences, in its order and at its
+    # marginals, whatever the segment size.
+    models = [
+        SeededModel(vocab_size=3, frames=100, seed=11, blank_prior=0.85),
+        SeededModel(vocab_size=4, frames=100, seed=12, blank_prior=0.97),
+        _bench_length_tabular(),
+    ]
+    for model in models:
+        capped = TokenCapModel(model, CAP)
+        encoder = capped.encode(uid="bench-length")
+        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, CAP).entries
+        for segment in (1, 3, 10, encoder.frames):
+            config = DecodeConfig(UNBOUNDED_BEAM, segment_size=segment, nbest=UNBOUNDED_BEAM)
+            decoded, _ = decode_utterance_tokenwise(capped, encoder, config)
+            assert [tokens for tokens, _ in decoded.entries] == [tokens for tokens, _ in truth]
+            for (_, score), (_, marginal) in zip(decoded.entries, truth):
+                assert abs(score - marginal) <= DecodeConfig.mass_tolerance
+    # The tabular model's 121 sequences less the 9 + 27 with token 1 in third place.
+    assert len(truth) == 85
+    assert all(tokens[2:3] != (1,) for tokens, _ in truth)
 
 
 class _JoinCounting:

@@ -30,7 +30,7 @@ from tokenwise.model import (
     TokenCapModel,
     _mix64,
 )
-from tokenwise.oracle import ENUM_MAX_FRAMES, exact_marginals, exact_sequence_marginals
+from tokenwise.oracle import exact_marginals, exact_sequence_marginals
 
 from reference import path_marginals, seeded_segment_scores, total_log_mass
 
@@ -195,7 +195,7 @@ def test_seeded_join_equals_the_reference_formula_bit_for_bit(model, frames, pat
 @given(model=models, cap=st.integers(0, 3), data=st.data())
 def test_forward_dp_equals_the_path_enumeration(model, cap, data) -> None:
     # Uncapped models, so the mass past the cap is excluded, not zero.
-    encoder = model.encode(data.draw(st.integers(0, min(model.frames, ENUM_MAX_FRAMES))), uid="dp")
+    encoder = model.encode(data.draw(st.integers(0, model.frames)), uid="dp")
     marginals, excluded = exact_marginals(model, encoder, cap)
     enumerated = path_marginals(model, encoder, cap)
     assert marginals.keys() == enumerated.keys()
@@ -208,7 +208,7 @@ def test_forward_dp_equals_the_path_enumeration(model, cap, data) -> None:
 def _matches_exact_marginals(model, cap: int, segment: int) -> None:
     """Unbounded token-capped decode: every positive-mass sequence, at its exact marginal."""
     capped = TokenCapModel(model, cap)
-    encoder = capped.encode(min(model.frames, ENUM_MAX_FRAMES), uid="oracle")
+    encoder = capped.encode(uid="oracle")
     marginals, excluded = exact_marginals(capped, encoder, cap)
     config = DecodeConfig(UNBOUNDED_BEAM, segment_size=segment, nbest=UNBOUNDED_BEAM)
     trace = DecodeTrace()
@@ -225,7 +225,7 @@ def _matches_exact_marginals(model, cap: int, segment: int) -> None:
 @PROPERTY_SETTINGS
 @given(model=models, cap=st.integers(1, 3), data=st.data())
 def test_unbounded_beam_reproduces_the_exact_marginals(model, cap, data) -> None:
-    segment = data.draw(st.integers(1, min(model.frames, ENUM_MAX_FRAMES) + 1))
+    segment = data.draw(st.integers(1, model.frames + 1))
     _matches_exact_marginals(model, cap, segment)
 
 
@@ -250,5 +250,5 @@ def test_single_symbol_vocabulary(model, beam, cap, data) -> None:
     standard, _ = decode_utterance_standard(model, encoder, config)
     assert tokenwise.entries == standard.entries
     assert all(set(tokens) <= {0} for tokens, _ in tokenwise.entries)
-    segment = data.draw(st.integers(1, min(model.frames, ENUM_MAX_FRAMES) + 1))
+    segment = data.draw(st.integers(1, model.frames + 1))
     _matches_exact_marginals(model, cap, segment)
