@@ -170,7 +170,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     if args.out is not None:
-        report.write(args.out)
+        write_text_file(args.out, report.to_json())
     header = f"{'cell':>8} {'wer':>8} {'ower':>8} {'calls/f':>9} {'joins/f':>9} {'frames/s':>10}"
     print(header)
     for key, cell in report.cells.items():

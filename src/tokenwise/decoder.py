@@ -81,12 +81,6 @@ class NBestList:
             raise IndexError("empty n-best list")
         return self.entries[0][0]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
 
 @dataclass
 class DecodeTrace:

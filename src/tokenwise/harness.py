@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .decoder import (
     DecodeConfig,
@@ -42,9 +42,6 @@ from .model import (
     write_text_file,
 )
 from .oracle import capped_prefixes, check_oracle_budget, exact_nbest, exact_sequence_marginals
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
@@ -213,14 +210,9 @@ class BenchmarkReport:
     def cell_key(beam_size: int, segment_size: int) -> str:
         return f"N{beam_size}/S{segment_size}"
 
-    def to_dict(self) -> dict:
-        return {"meta": self.meta, "cells": self.cells}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        write_text_file(path, self.to_json())
+        report = {"meta": self.meta, "cells": self.cells}
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _relative_delta(value: Optional[float], baseline: Optional[float]):
@@ -266,20 +258,15 @@ def decode_corpus(
     model: TransducerModel,
     utterances: Sequence[Utterance],
     config: DecodeConfig,
-    pool: Optional[ProcessPoolExecutor] = None,
-    chunksize: int = 1,
+    mapper: Callable = map,
 ) -> tuple[list[NBestList], JoinerCounters]:
-    """Decode every utterance with ``model``, in this process or in ``pool``'s workers.
+    """Decode every utterance with ``model`` through ``mapper``, in corpus order.
 
-    A pool gets the model by pickle with each chunk of ``chunksize``
-    utterances. Results keep the corpus order; the counters are summed over
-    the corpus.
+    ``mapper(function, utterances)`` is ``map`` in this process, or a process
+    pool's ``map``, whose tasks carry the model by pickle. The counters are
+    summed over the corpus.
     """
-    decode = functools.partial(_decode_utterance, model, config)
-    if pool is None:
-        decoded = map(decode, utterances)
-    else:
-        decoded = pool.map(decode, utterances, chunksize=chunksize)
+    decoded = mapper(functools.partial(_decode_utterance, model, config), utterances)
     counters = JoinerCounters()
     results: list[NBestList] = []
     for result, utterance_counters in decoded:
@@ -362,7 +349,6 @@ def run_benchmark(
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before
     # the first timed pass, so start-up is never billed as decode time.
-    chunksize = max(1, len(utterances) // (workers * 4))
     pool_context = contextlib.nullcontext()
     if workers > 1:
         # Imported here because it pulls in multiprocessing, which only a pool needs.
@@ -370,13 +356,16 @@ def run_benchmark(
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
+        mapper = map
         if pool is not None:
             pool.submit(int).result()
+            chunksize = max(1, len(utterances) // (workers * 4))
+            mapper = functools.partial(pool.map, chunksize=chunksize)
         for (beam, segment), config in configs.items():
             times = []
             for _ in range(repeats):
                 started = time.perf_counter()
-                results, counters = decode_corpus(model, utterances, config, pool, chunksize)
+                results, counters = decode_corpus(model, utterances, config, mapper)
                 times.append(time.perf_counter() - started)
             times.sort()
             median = (times[(repeats - 1) // 2] + times[repeats // 2]) / 2

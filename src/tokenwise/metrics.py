@@ -48,9 +48,9 @@ def corpus_oracle_wer(pairs: Iterable[Tuple[Sequence[int], NBestList]]) -> float
     errors = 0
     length = 0
     for reference, nbest in pairs:
-        if len(nbest) == 0:
+        if not nbest.entries:
             raise ValueError("empty n-best list in oracle scoring")
-        errors += min(edit_distance(reference, tokens) for tokens, _ in nbest)
+        errors += min(edit_distance(reference, tokens) for tokens, _ in nbest.entries)
         length += len(reference)
     if length == 0:
         raise ValueError("corpus has no reference tokens")

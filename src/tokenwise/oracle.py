@@ -91,9 +91,14 @@ def check_oracle_budget(model: TransducerModel, frames: int, prefixes: int) -> N
     cells = prefixes * frames * symbols
     if cells > ORACLE_CELL_BUDGET:
         raise ValueError(
-            f"the exact oracle needs {cells} joiner cells ({prefixes} prefixes x {frames}"
-            f" frames x {symbols} symbols); the limit is {ORACLE_CELL_BUDGET}"
+            f"the exact oracle needs {_count(cells)} joiner cells ({_count(prefixes)} prefixes"
+            f" x {frames} frames x {symbols} symbols); the limit is {ORACLE_CELL_BUDGET}"
         )
+
+
+def _count(n: int) -> str:
+    """``n`` in decimal, or past 2**256 as the power of two at or below it."""
+    return str(n) if n.bit_length() <= 256 else f"at least 2**{n.bit_length() - 1}"
 
 
 def exact_marginals(
@@ -134,16 +139,29 @@ def exact_sequence_marginals(
     """Alignment-sum marginal of each of ``sequences``, in order.
 
     Every prefix of the sequences is joined and folded once, so sequences
-    that share a prefix share its work; ``check_oracle_budget`` counts each once.
+    that share a prefix share its work; ``check_oracle_budget`` counts each
+    once. The prefixes are counted, not built, before that check: in sorted
+    order a sequence's new prefixes are those longer than its common prefix
+    with the sequence before it.
     """
     if not all(isinstance(k, numbers.Integral) for tokens in sequences for k in tokens):
         raise ValueError("sequence tokens must be integers")
     sequences = [tuple(int(k) for k in tokens) for tokens in sequences]
-    prefixes = {()} | {tokens[:u] for tokens in sequences for u in range(1, len(tokens) + 1)}
-    check_oracle_budget(model, encoder.frames, len(prefixes))
+    walks = []  # (sequence, length of its prefix already in the trie)
+    previous: tuple[int, ...] = ()
+    for tokens in sorted(set(sequences)):
+        shared = 0
+        for token, before in zip(tokens, previous):
+            if token != before:
+                break
+            shared += 1
+        walks.append((tokens, shared))
+        previous = tokens
+    check_oracle_budget(model, encoder.frames, 1 + sum(len(t) - u for t, u in walks))
     trie = _Trie(model, encoder)
-    for prefix in sorted(prefixes, key=len):  # parents first
-        trie.column(prefix)
+    for tokens, shared in walks:
+        for u in range(shared + 1, len(tokens) + 1):  # parents first
+            trie.column(tokens[:u])
     return [trie.column(tokens)[-1] for tokens in sequences]
 
 

@@ -421,7 +421,7 @@ def test_final_short_segment_gets_a_round_cap_for_its_own_width() -> None:
     for decode, forced in ((decode_utterance_tokenwise, 2), (decode_utterance_standard, 5)):
         counters = JoinerCounters()
         result, _ = decode(model, model.encode(), config, counters)
-        assert len(result) == 1
+        assert len(result.entries) == 1
         assert counters.forced_finalizations == forced
         assert counters.calls == 5 * ROUNDS_PER_FRAME
 
@@ -474,6 +474,6 @@ def test_nbest_is_trimmed_and_sorted() -> None:
     result, _ = decode_utterance_tokenwise(
         model, encoder, DecodeConfig(beam_size=4, segment_size=2, nbest=3)
     )
-    assert len(result) <= 3
+    assert len(result.entries) <= 3
     scores = [score for _, score in result.entries]
     assert scores == sorted(scores, reverse=True)

@@ -69,7 +69,9 @@ def _record(out_dir: Path) -> dict[str, str]:
 def _bench_pair() -> str:
     """The acceptance suite's sweeps, shared with it through their caches."""
     reports = {"nbest": _nbest_report(), "trend": _trend_report()}
-    stripped = {name: strip_timing(report.to_dict()) for name, report in reports.items()}
+    stripped = {
+        name: strip_timing(json.loads(report.to_json())) for name, report in reports.items()
+    }
     return json.dumps(stripped, sort_keys=True, indent=2) + "\n"
 
 

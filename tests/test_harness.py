@@ -35,6 +35,7 @@ from tokenwise.model import (
     load_model,
     load_model_file,
     read_model_spec,
+    write_text_file,
 )
 from tokenwise.oracle import ORACLE_CELL_BUDGET, exact_nbest
 
@@ -400,8 +401,9 @@ def test_run_benchmark_writes_report(tmp_path: Path) -> None:
     model_path, corpus_path = _tiny_bench_paths(tmp_path)
     out_path = tmp_path / "report.json"
     report = run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1])
-    report.write(out_path)
-    assert json.loads(out_path.read_text(encoding="utf-8")) == report.to_dict()
+    write_text_file(out_path, report.to_json())
+    written = json.loads(out_path.read_text(encoding="utf-8"))
+    assert written == {"meta": report.meta, "cells": report.cells}
 
 
 def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
@@ -410,8 +412,8 @@ def test_run_benchmark_workers_match_serial(tmp_path: Path) -> None:
         grid = dict(beam_sizes=[2], segment_sizes=[1, 2], repeats=repeats)
         serial = run_benchmark(model_path, corpus_path, **grid)
         parallel = run_benchmark(model_path, corpus_path, **grid, workers=2)
-        serial_clean = strip_timing(serial.to_dict())
-        parallel_clean = strip_timing(parallel.to_dict())
+        serial_clean = strip_timing(json.loads(serial.to_json()))
+        parallel_clean = strip_timing(json.loads(parallel.to_json()))
         assert serial_clean == parallel_clean
 
 
@@ -466,12 +468,12 @@ def test_decode_corpus_in_a_plain_pool_decodes_with_the_given_model() -> None:
     config = DecodeConfig(beam_size=2, segment_size=2, nbest=2)
     # No initializer: the workers know no model but the one each call hands them.
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        # Bounds every result decode_corpus reads, so a lost worker fails the test.
-        pool.map = functools.partial(pool.map, timeout=60)
+        # The timeout bounds every result decode_corpus reads, so a lost worker fails the test.
+        mapper = functools.partial(pool.map, chunksize=3, timeout=60)
         # A token cap of 1 is a model no spec describes.
         for candidate in (model, TokenCapModel(model, 1)):
             want, want_counters = harness.decode_corpus(candidate, utterances, config)
-            got, got_counters = harness.decode_corpus(candidate, utterances, config, pool, 3)
+            got, got_counters = harness.decode_corpus(candidate, utterances, config, mapper)
             assert [r.entries for r in got] == [r.entries for r in want]
             assert vars(got_counters) == vars(want_counters)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,12 @@ def test_enumeration_limits_are_enforced() -> None:
     too_many = [(0,) * 1398, (1,) * 1]  # 1,400 prefixes x 1,000 frames x 3 symbols
     with pytest.raises(ValueError, match="needs 4200000 joiner cells"):
         exact_sequence_marginals(long_utt, long_utt.encode(), too_many)
-    assert huge_vocab.joins == long_utt.joins == 0
+    # CPython prints no int past 4,300 digits, so huge counts are written as powers of two.
+    counting = _JoinCounting(small)
+    power_of_two = r"at least 2\*\*20003 joiner cells \(at least 2\*\*20000 prefixes x 2 frames"
+    with pytest.raises(ValueError, match=power_of_two):
+        exact_marginals(counting, small.encode(), 20000)
+    assert huge_vocab.joins == long_utt.joins == counting.joins == 0
     for cap in (-1, 2.5, "3", None):
         with pytest.raises(ValueError, match="token cap must be a non-negative integer"):
             exact_marginals(small, small.encode(), cap)
@@ -244,6 +250,34 @@ def test_shared_prefixes_are_joined_once() -> None:
         assert counting.joins == len(prefixes)
         alone = [exact_sequence_marginals(model, encoder, [tokens])[0] for tokens in sequences]
         assert [value.hex() for value in together] == [value.hex() for value in alone]
+
+
+def test_sequence_prefixes_are_counted_without_being_built() -> None:
+    # 16 random 2,700-token sequences have about 43,000 distinct prefixes, far
+    # over the budget at 3,000 frames; the prefixes themselves take about 450 MB.
+    model = _JoinCounting(SeededModel(vocab_size=2, frames=3000, seed=1))
+    encoder = model.encode()
+    rng = np.random.default_rng(12)
+    sequences = [tuple(int(k) for k in rng.integers(0, 2, 2700)) for _ in range(16)]
+    tree: dict = {}  # the prefix trie as nested dicts, one node per prefix
+    prefixes = 1
+    for tokens in sequences:
+        node = tree
+        for token in tokens:
+            if token not in node:
+                node[token] = {}
+                prefixes += 1
+            node = node[token]
+    message = rf"needs {prefixes * 3000 * 3} joiner cells \({prefixes} prefixes x 3000 frames"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            exact_sequence_marginals(model, encoder, sequences)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert model.joins == 0
 
 
 def test_every_prefix_up_to_the_cap_is_joined_once() -> None:
