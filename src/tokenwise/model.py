@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -448,6 +449,8 @@ class TokenCapModel(TransducerModel):
     """
 
     def __init__(self, inner: TransducerModel, cap: int) -> None:
+        if not isinstance(cap, numbers.Integral):
+            raise ValueError("token cap must be an integer")
         if cap < 1:
             raise ValueError("token cap must be positive")
         self.inner = inner

@@ -7,7 +7,10 @@ is the sum over all of its alignment paths. One forward dynamic program
 over the prefix trie of an utterance sums them: a prefix's column holds the
 mass of the paths that stand at each frame having emitted exactly that
 prefix, and each prefix is joined and folded once, so its work is held to
-``ORACLE_CELL_BUDGET`` joiner cells: prefixes x frames x symbols.
+``ORACLE_CELL_BUDGET`` joiner cells: prefixes x frames x symbols. A
+prefix's node is built from its parent's, and none is kept longer than its
+children need it: ``exact_sequence_marginals`` holds the current
+root-to-leaf path and ``exact_marginals`` the nodes below the cap.
 ``exact_marginals`` expands every prefix up to a token cap, so the path set
 is finite; every emission out of a prefix at the cap is accounted for in
 ``excluded_log_mass`` rather than dropped, so the total mass over complete
@@ -18,6 +21,7 @@ the decoders do. ``exact_sequence_marginals`` gives those of given sequences.
 from __future__ import annotations
 
 import numbers
+from collections import deque
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
@@ -26,57 +30,39 @@ from .model import EncoderOutput, JoinerCounters, TransducerModel
 ORACLE_CELL_BUDGET = 2**22  # a 32 MiB float64 grid, as ``harness.ROUND_CELL_BUDGET``
 
 
-class _Trie:
-    """The prefix trie of one utterance, each node made once.
+def _node(model: TransducerModel, encoder: EncoderOutput, parent=None, token=None) -> tuple:
+    """The node ``(state, rows, column)`` of a prefix, from its parent's node and last token.
 
-    A node is the triple ``(state, rows, column)`` of a prefix: its
-    predictor state, its joiner rows as Python floats (``[frame][symbol]``;
-    the folds read one value at a time, cheaper from a list than from an
-    array) and its column, whose extra last entry is the prefix's marginal.
-    Callers ask for prefixes parent first.
+    ``state`` is the predictor state; ``rows`` its joiner rows as Python
+    floats (``[frame][symbol]``; the folds read one value at a time, cheaper
+    from a list than from an array); ``column[t] = log_add(entering[t],
+    column[t-1] + blank[t-1])``, whose extra last entry is the prefix's
+    marginal. Without a parent it is the root's node. The token advances the
+    parent's state before any row is read, so every token is checked, even
+    at zero frames, where the rows are ``[]`` and nothing is joined.
     """
-
-    def __init__(self, model: TransducerModel, encoder: EncoderOutput) -> None:
-        self._model = model
-        self._encoder = encoder
-        self._scratch = JoinerCounters()
-        self._nodes: dict = {}
-        self._add((), model.init_predictor(), LOG_ONE, [LOG_ZERO] * encoder.frames)
-
-    def _add(self, prefix: tuple[int, ...], state, carried: float, entering: list[float]) -> None:
-        """Join ``state``; fold ``column[t] = log_add(entering[t], column[t-1] + blank[t-1])``.
-
-        At zero frames the rows are ``[]`` and nothing is joined.
-        """
-        frames = self._encoder.frames
-        rows = []
-        if frames:
-            rows = self._model.join(self._encoder, (0, frames), [state], self._scratch)[0].tolist()
-        blank = self._model.vocab.blank_id
-        column = []
-        for mass, row in zip(entering, rows):
-            carried = log_add(mass, carried)
-            column.append(carried)
-            carried += row[blank]
+    if parent is None:
+        state, carried, entering = model.init_predictor(), LOG_ONE, [LOG_ZERO] * encoder.frames
+    else:
+        state, carried = model.advance_predictor(parent[0], token), LOG_ZERO
+        entering = _entering(parent, token)
+    rows = []
+    if encoder.frames:
+        rows = model.join(encoder, (0, encoder.frames), [state], JoinerCounters())[0].tolist()
+    blank = model.vocab.blank_id
+    column = []
+    for mass, row in zip(entering, rows):
+        carried = log_add(mass, carried)
         column.append(carried)
-        self._nodes[prefix] = (state, rows, column)
+        carried += row[blank]
+    column.append(carried)
+    return state, rows, column
 
-    def entering(self, prefix: tuple[int, ...], token: int) -> list[float]:
-        """Mass entering ``prefix + (token,)`` at each frame: column plus emission."""
-        _, rows, column = self._nodes[prefix]
-        return [mass + row[token] for mass, row in zip(column, rows)]
 
-    def column(self, prefix: tuple[int, ...]) -> list[float]:
-        """The prefix's column, its node added from the parent's if missing.
-
-        The last token advances the parent's state before any row is read,
-        so every token is checked, even at zero frames.
-        """
-        if prefix not in self._nodes:
-            parent, token = prefix[:-1], prefix[-1]
-            state = self._model.advance_predictor(self._nodes[parent][0], token)
-            self._add(prefix, state, LOG_ZERO, self.entering(parent, token))
-        return self._nodes[prefix][2]
+def _entering(node: tuple, token: int) -> list[float]:
+    """Mass entering the node's child by ``token`` at each frame: column plus emission."""
+    _, rows, column = node
+    return [mass + row[token] for mass, row in zip(column, rows)]
 
 
 def capped_prefixes(vocab: int, cap: int) -> int:
@@ -116,19 +102,19 @@ def exact_marginals(
         raise ValueError("token cap must be a non-negative integer")
     max_tokens = int(max_tokens)
     check_oracle_budget(model, encoder.frames, capped_prefixes(model.vocab.size, max_tokens))
-    trie = _Trie(model, encoder)
     marginals: dict = {}
     excluded = LOG_ZERO
-    pending = [()]
-    for prefix in pending:  # grows as children are appended
-        marginal = trie.column(prefix)[-1]
-        if marginal > LOG_ZERO:
-            marginals[prefix] = marginal
+    queue = deque([((), None, None)])  # (prefix, its parent's node, its last token)
+    while queue:
+        prefix, parent, last = queue.popleft()
+        node = _node(model, encoder, parent, last)
+        if node[2][-1] > LOG_ZERO:
+            marginals[prefix] = node[2][-1]
         for token in range(model.vocab.size):
             if len(prefix) < max_tokens:
-                pending.append(prefix + (token,))
+                queue.append((prefix + (token,), node, token))
             else:
-                for mass in trie.entering(prefix, token):
+                for mass in _entering(node, token):
                     excluded = log_add(excluded, mass)
     return marginals, excluded
 
@@ -147,7 +133,7 @@ def exact_sequence_marginals(
     if not all(isinstance(k, numbers.Integral) for tokens in sequences for k in tokens):
         raise ValueError("sequence tokens must be integers")
     sequences = [tuple(int(k) for k in tokens) for tokens in sequences]
-    walks = []  # (sequence, length of its prefix already in the trie)
+    walks = []  # (sequence, length of its common prefix with the one before)
     previous: tuple[int, ...] = ()
     for tokens in sorted(set(sequences)):
         shared = 0
@@ -158,11 +144,14 @@ def exact_sequence_marginals(
         walks.append((tokens, shared))
         previous = tokens
     check_oracle_budget(model, encoder.frames, 1 + sum(len(t) - u for t, u in walks))
-    trie = _Trie(model, encoder)
+    path = [_node(model, encoder)]  # the nodes of the previous sequence and its prefixes
+    marginals = {}
     for tokens, shared in walks:
-        for u in range(shared + 1, len(tokens) + 1):  # parents first
-            trie.column(tokens[:u])
-    return [trie.column(tokens)[-1] for tokens in sequences]
+        del path[shared + 1 :]
+        for token in tokens[shared:]:
+            path.append(_node(model, encoder, path[-1], token))
+        marginals[tokens] = path[-1][2][-1]
+    return [marginals[tokens] for tokens in sequences]
 
 
 def exact_nbest(

@@ -346,6 +346,10 @@ def test_token_cap_model_rejects_a_cap_below_one() -> None:
     inner = _golden_model()
     with pytest.raises(ValueError, match="token cap must be positive"):
         TokenCapModel(inner, cap=0)
+    # A fractional cap is refused, not truncated to the integer below it.
+    with pytest.raises(ValueError, match="token cap must be an integer"):
+        TokenCapModel(inner, cap=2.5)
+    assert TokenCapModel(inner, cap=np.int64(2)).cap == 2
 
 
 def test_model_spec_round_trip() -> None:

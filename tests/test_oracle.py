@@ -122,8 +122,15 @@ def test_sequence_marginals_reject_tokens_outside_the_vocabulary() -> None:
 def test_sequence_marginals_handle_a_sequence_longer_than_the_recursion_limit() -> None:
     model = SeededModel(vocab_size=3, frames=8, seed=5)
     tokens = tuple(k % 3 for k in range(1500))
-    [marginal] = exact_sequence_marginals(model, model.encode(uid="long"), [tokens])
+    # Only the current path of nodes is held, so memory is linear in its length.
+    tracemalloc.start()
+    try:
+        [marginal] = exact_sequence_marginals(model, model.encode(uid="long"), [tokens])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert isinstance(marginal, float)
+    assert peak < 6 * 2**20
 
 
 def test_event_stream_covers_empty_utterance() -> None:
@@ -288,11 +295,20 @@ def test_every_prefix_up_to_the_cap_is_joined_once() -> None:
     probs[:, :, 0] = math.log(0.5)
     probs[:, :, 2] = math.log(0.5)
     never_one = TabularModel(vocab_size=2, payload=probs.tolist())
+    # Only the nodes below the cap are held: at vocabulary 4, 100 frames and
+    # cap 4, at most 85 of the 341 prefixes.
     capped = TokenCapModel(SeededModel(2, 3, 7), 1)
-    for model, cap in ((SeededModel(3, 4, 5), 3), (capped, 3), (never_one, 4)):
+    bench_length = TokenCapModel(SeededModel(4, 100, 12), 4)
+    for model, cap in ((SeededModel(3, 4, 5), 3), (capped, 3), (never_one, 4), (bench_length, 4)):
         counting = _JoinCounting(model)
-        exact_marginals(counting, model.encode(uid="cap"), cap)
+        tracemalloc.start()
+        try:
+            exact_marginals(counting, model.encode(uid="cap"), cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert counting.joins == sum(model.vocab.size**k for k in range(cap + 1))
+        assert peak < 4 * 2**20
     counting = _JoinCounting(SeededModel(2, 3, 7))
     exact_marginals(counting, counting.encode(0, "none"), 3)
     assert counting.joins == 0
