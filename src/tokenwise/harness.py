@@ -36,6 +36,7 @@ from .model import (
     TransducerModel,
     Vocabulary,
     _mix64,
+    check_cell_budget,
     check_output_path,
     load_model,
     read_model_spec,
@@ -45,13 +46,8 @@ from .oracle import capped_prefixes, check_oracle_budget, exact_nbest, exact_seq
 
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
-REFERENCE_EXACT_FRAMES = 6
-REFERENCE_EXACT_VOCAB = 4
-REFERENCE_EXACT_TOKENS = 5
 VERIFY_BEAM_SIZES = (1, 2, 5)
 VERIFY_MAX_TOKENS = 4
-# A 32 MiB float64 joiner grid; a round's lists of Python floats take a few times that.
-ROUND_CELL_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,9 @@ def generate_corpus(
 
     Frame counts are drawn per utterance from a hash of (seed, index), so a
     longer run of the same seed extends a shorter one without changing its
-    prefix. References are sequences the model can produce: the exact
-    oracle's top on instances within the ``REFERENCE_EXACT_*`` sizes, else
-    the top of a wide-beam segment decode. Both files are written after
-    every utterance is made. Returns the model file's JSON object and the
+    prefix. Each reference is a sequence the model can produce: the top of
+    a beam-8, segment-4 decode. Both files are written after every
+    utterance is made. Returns the model file's JSON object and the
     utterances.
     """
     if count < 1:
@@ -174,7 +169,8 @@ def generate_corpus(
     check_output_path(corpus_path, model_path)
     reference_config = DecodeConfig(beam_size=REFERENCE_BEAM, segment_size=REFERENCE_SEGMENT)
     # Checked before the model is built: its tables grow with the vocabulary.
-    _check_round_cells(reference_config, min(REFERENCE_SEGMENT, high), vocab_size + 1)
+    width, symbols = min(REFERENCE_SEGMENT, high), vocab_size + 1
+    check_cell_budget("a decode round", hypotheses=REFERENCE_BEAM, frames=width, symbols=symbols)
     spec = {
         "kind": "seeded",
         "vocab_size": vocab_size,
@@ -187,13 +183,8 @@ def generate_corpus(
     for index in range(count):
         frames = low + _mix64((seed & ((1 << 64) - 1)) ^ (index * 2 + 1)) % (high - low + 1)
         uid = f"utt-{index:04d}"
-        encoder = model.encode(frames, uid)
-        if frames <= REFERENCE_EXACT_FRAMES and vocab_size <= REFERENCE_EXACT_VOCAB:
-            reference = exact_nbest(model, encoder, 1, REFERENCE_EXACT_TOKENS).top
-        else:
-            result, _ = decode_utterance_tokenwise(model, encoder, reference_config)
-            reference = result.top
-        utterances.append(Utterance(uid, frames, reference))
+        result, _ = decode_utterance_tokenwise(model, model.encode(frames, uid), reference_config)
+        utterances.append(Utterance(uid, frames, result.top))
     write_text_file(model_path, json.dumps(spec, sort_keys=True, indent=2) + "\n")
     save_corpus(utterances, corpus_path)
     return spec, utterances
@@ -226,7 +217,7 @@ def _relative_delta(value: Optional[float], baseline: Optional[float]):
 def check_round_budget(
     model: TransducerModel, utterances: Sequence[Utterance], config: DecodeConfig
 ) -> None:
-    """Reject a config whose full-beam round would exceed ``ROUND_CELL_BUDGET`` cells.
+    """Reject a config whose full-beam round would exceed ``CELL_BUDGET`` cells.
 
     A round joins up to ``beam_size`` hypotheses over its segment, so its
     grid holds beam x width x symbols log-probabilities, where the width is
@@ -235,16 +226,9 @@ def check_round_budget(
     out; with it, such a beam fails before any decode.
     """
     width = min(config.segment_size, max((utt.frames for utt in utterances), default=0))
-    _check_round_cells(config, width, model.vocab.num_symbols)
-
-
-def _check_round_cells(config: DecodeConfig, width: int, symbols: int) -> None:
-    cells = config.beam_size * width * symbols
-    if cells > ROUND_CELL_BUDGET:
-        raise ValueError(
-            f"beam size {config.beam_size} needs {cells} joiner cells per round ({width}-frame"
-            f" segments x {symbols} symbols); the limit is {ROUND_CELL_BUDGET}"
-        )
+    check_cell_budget(
+        "a decode round", hypotheses=config.beam_size, frames=width, symbols=model.vocab.num_symbols
+    )
 
 
 def _decode_utterance(
@@ -348,7 +332,9 @@ def run_benchmark(
         check_round_budget(model, utterances, config)
     cells: dict[str, dict] = {}
     # One pool serves every cell and repeat; its workers are started before
-    # the first timed pass, so start-up is never billed as decode time.
+    # the first timed pass, so start-up is never billed as decode time. A
+    # pass has one task per utterance at most, so no more workers are started.
+    workers = min(workers, len(utterances))
     pool_context = contextlib.nullcontext()
     if workers > 1:
         # Imported here because it pulls in multiprocessing, which only a pool needs.

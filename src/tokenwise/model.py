@@ -235,6 +235,26 @@ class TransducerModel(ABC):
         return token
 
 
+# A 32 MiB float64 grid: the most joiner cells a decode round or the exact oracle may take.
+CELL_BUDGET = 2**22
+
+
+def check_cell_budget(work: str, **factors: int) -> None:
+    """Reject ``work`` whose joiner cells, the product of its factors by unit, pass the budget."""
+    factors = {unit: int(count) for unit, count in factors.items()}  # numpy ints would wrap
+    cells = math.prod(factors.values())
+    if cells > CELL_BUDGET:
+        terms = " x ".join(f"{_count(count)} {unit}" for unit, count in factors.items())
+        raise ValueError(
+            f"{work} needs {_count(cells)} joiner cells ({terms}); the limit is {CELL_BUDGET}"
+        )
+
+
+def _count(n: int) -> str:
+    """``n`` in decimal, or past 2**256 as the power of two at or below it."""
+    return str(n) if n.bit_length() <= 256 else f"at least 2**{n.bit_length() - 1}"
+
+
 class SeededTables(NamedTuple):
     """What :meth:`SeededModel.encode` precomputes for one utterance.
 

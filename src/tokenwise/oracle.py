@@ -7,7 +7,7 @@ is the sum over all of its alignment paths. One forward dynamic program
 over the prefix trie of an utterance sums them: a prefix's column holds the
 mass of the paths that stand at each frame having emitted exactly that
 prefix, and each prefix is joined and folded once, so its work is held to
-``ORACLE_CELL_BUDGET`` joiner cells: prefixes x frames x symbols. A
+``model.CELL_BUDGET`` joiner cells: prefixes x frames x symbols. A
 prefix's node is built from its parent's, and none is kept longer than its
 children need it: ``exact_sequence_marginals`` holds the current
 root-to-leaf path and ``exact_marginals`` the nodes below the cap.
@@ -25,9 +25,7 @@ from collections import deque
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
-from .model import EncoderOutput, JoinerCounters, TransducerModel
-
-ORACLE_CELL_BUDGET = 2**22  # a 32 MiB float64 grid, as ``harness.ROUND_CELL_BUDGET``
+from .model import EncoderOutput, JoinerCounters, TransducerModel, check_cell_budget
 
 
 def _node(model: TransducerModel, encoder: EncoderOutput, parent=None, token=None) -> tuple:
@@ -71,20 +69,10 @@ def capped_prefixes(vocab: int, cap: int) -> int:
 
 
 def check_oracle_budget(model: TransducerModel, frames: int, prefixes: int) -> None:
-    """Reject a trie of ``prefixes`` over ``frames`` above ``ORACLE_CELL_BUDGET`` cells."""
+    """Reject a trie of ``prefixes`` over ``frames`` above ``CELL_BUDGET`` cells."""
     # Zero frames count as one, since the trie still visits every prefix.
     frames, symbols = max(frames, 1), model.vocab.num_symbols
-    cells = prefixes * frames * symbols
-    if cells > ORACLE_CELL_BUDGET:
-        raise ValueError(
-            f"the exact oracle needs {_count(cells)} joiner cells ({_count(prefixes)} prefixes"
-            f" x {frames} frames x {symbols} symbols); the limit is {ORACLE_CELL_BUDGET}"
-        )
-
-
-def _count(n: int) -> str:
-    """``n`` in decimal, or past 2**256 as the power of two at or below it."""
-    return str(n) if n.bit_length() <= 256 else f"at least 2**{n.bit_length() - 1}"
+    check_cell_budget("the exact oracle", prefixes=prefixes, frames=frames, symbols=symbols)
 
 
 def exact_marginals(

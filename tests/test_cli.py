@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from tokenwise import cli, harness
 from tokenwise.cli import main
 from tokenwise.decoder import DecodeConfig, NBestList, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
-from tokenwise.model import _string_key, load_model_file
+from tokenwise.model import CELL_BUDGET, _string_key, load_model_file
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -643,8 +644,8 @@ def test_generate_over_the_round_cell_budget_exits_two_before_building_a_model(
         argv = ["generate", "--seed", "1", "--count", "1", "--vocab-size", str(vocab)]
         argv += ["--frames-min", "4", "--frames-max", "4", *outputs]
         message = re.escape(
-            f"beam size 8 needs {8 * 4 * (vocab + 1)} joiner cells per round (4-frame segments"
-            f" x {vocab + 1} symbols); the limit is {harness.ROUND_CELL_BUDGET}"
+            f"a decode round needs {8 * 4 * (vocab + 1)} joiner cells (8 hypotheses x 4 frames"
+            f" x {vocab + 1} symbols); the limit is {CELL_BUDGET}"
         )
         started = time.perf_counter()
         _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
@@ -721,25 +722,34 @@ def test_a_beam_over_the_round_cell_budget_exits_two_before_any_decode(
     _forbid_decoding(monkeypatch)
     inputs = ["--model", str(model), "--corpus", str(corpus)]
     beam = 10**23
-    budget = harness.ROUND_CELL_BUDGET
     for argv, width in (
         (["decode", *inputs, "--beam-size", str(beam), "--out", str(tmp_path / "h.jsonl")], 1),
         (["decode", *inputs, "--beam-size", str(beam), "--segment-size", str(HUGE)], 3),
         (["bench", *inputs, "--beam-size", "1", "--beam-size", str(beam)], 1),
     ):
         message = re.escape(
-            f"beam size {beam} needs {beam * width * 4} joiner cells per round"
-            f" ({width}-frame segments x 4 symbols); the limit is {budget}"
+            f"a decode round needs {beam * width * 4} joiner cells ({beam} hypotheses"
+            f" x {width} frames x 4 symbols); the limit is {CELL_BUDGET}"
         )
         _exits_two_leaving_nothing(argv, tmp_path, capsys, message)
     # The budget bounds beam x effective width x symbols, the width capped at
     # the longest utterance; the check itself decodes nothing.
     loaded = load_model_file(model)
     utterances = load_corpus(corpus, loaded.vocab)
-    largest = budget // (3 * 4)
+    largest = CELL_BUDGET // (3 * 4)
     harness.check_round_budget(loaded, utterances, DecodeConfig(largest, segment_size=HUGE))
-    with pytest.raises(ValueError, match="joiner cells per round"):
+    with pytest.raises(ValueError, match="a decode round needs"):
         harness.check_round_budget(loaded, utterances, DecodeConfig(largest + 1, segment_size=3))
+    # CPython prints no int past 4,300 digits, so huge counts are written as powers of two.
+    power_of_two = re.escape(
+        "a decode round needs at least 2**20002 joiner cells (at least 2**20000 hypotheses"
+        f" x 1 frames x 4 symbols); the limit is {CELL_BUDGET}"
+    )
+    with pytest.raises(ValueError, match=f"^{power_of_two}$"):
+        harness.check_round_budget(loaded, utterances, DecodeConfig(beam_size=2**20000))
+    # A numpy beam is counted as a Python int, so its cells cannot wrap under the limit.
+    with pytest.raises(ValueError, match=r"\(4611686018427387904 hypotheses x 3 frames"):
+        harness.check_round_budget(loaded, utterances, DecodeConfig(np.int64(2**62), 3))
 
 
 def test_an_output_naming_an_input_or_the_other_output_exits_two(tmp_path: Path, capsys) -> None:

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from tokenwise import harness
-from tokenwise.decoder import DecodeConfig, NBestList, decode_utterance_standard
+from tokenwise.decoder import (
+    DecodeConfig,
+    NBestList,
+    decode_utterance_standard,
+    decode_utterance_tokenwise,
+)
 from tokenwise.harness import (
     BenchmarkReport,
     Utterance,
@@ -28,6 +33,7 @@ from tokenwise.harness import (
 from tokenwise.logmath import LOG_ZERO
 from tokenwise.metrics import corpus_wer
 from tokenwise.model import (
+    CELL_BUDGET,
     SeededModel,
     TabularModel,
     TokenCapModel,
@@ -37,7 +43,7 @@ from tokenwise.model import (
     read_model_spec,
     write_text_file,
 )
-from tokenwise.oracle import ORACLE_CELL_BUDGET, exact_nbest
+from tokenwise.oracle import exact_nbest, exact_sequence_marginals
 
 from reference import strip_timing
 
@@ -290,8 +296,24 @@ def test_tiny_references_match_exact_oracle(tmp_path: Path) -> None:
     model = load_model(spec)
     for utt in utterances:
         encoder = model.encode(utt.frames, utt.uid)
-        best = exact_nbest(model, encoder, 1, harness.REFERENCE_EXACT_TOKENS).top
+        best = exact_nbest(model, encoder, 1, 5).top
         assert utt.reference == best
+    # Every reference is the top of the reference decode; here it beats the
+    # 5-token top of the capped oracle by its true marginal.
+    spec, utterances = _generate(
+        tmp_path, "small", seed=0, count=3, vocab_size=2, frames_range=(4, 6), blank_prior=0.3
+    )
+    model = load_model(spec)
+    utt = utterances[2]
+    assert (utt.uid, utt.frames) == ("utt-0002", 6)
+    encoder = model.encode(utt.frames, utt.uid)
+    config = DecodeConfig(beam_size=harness.REFERENCE_BEAM, segment_size=harness.REFERENCE_SEGMENT)
+    assert utt.reference == decode_utterance_tokenwise(model, encoder, config)[0].top
+    capped = exact_nbest(model, encoder, 1, 5).top
+    reference_marginal, capped_marginal = exact_sequence_marginals(
+        model, encoder, [utt.reference, capped]
+    )
+    assert reference_marginal > capped_marginal
 
 
 def test_bundled_data_checksums() -> None:
@@ -449,17 +471,21 @@ def test_run_benchmark_builds_one_pool_per_run(tmp_path: Path, monkeypatch) -> N
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs) -> None:
-            built.append(kwargs.get("max_workers"))
+            # Raised before any process starts: a pass has one task per utterance.
+            assert kwargs["max_workers"] <= 6, "more workers than the corpus has utterances"
+            built.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    model_path, corpus_path = _tiny_bench_paths(tmp_path)
+    model_path, corpus_path = _tiny_bench_paths(tmp_path)  # 6 utterances
     run_benchmark(
         model_path, corpus_path, beam_sizes=[1, 2], segment_sizes=[1, 2], repeats=2, workers=2
     )
     assert built == [2]
     run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1])
     assert built == [2]
+    run_benchmark(model_path, corpus_path, beam_sizes=[1], segment_sizes=[1], workers=10**6)
+    assert built == [2, 6]
 
 
 def test_decode_corpus_in_a_plain_pool_decodes_with_the_given_model() -> None:
@@ -534,7 +560,7 @@ def test_verify_rejects_oversized_instances(monkeypatch) -> None:
         verify(model, [])
     # The oracle's trie at cap 4 over vocabulary 2 joins 31 prefixes x 3 symbols
     # per frame, so 45,100 frames fit the budget and 45,101 do not.
-    assert 45100 * 93 <= ORACLE_CELL_BUDGET < 45101 * 93
+    assert 45100 * 93 <= CELL_BUDGET < 45101 * 93
     longest = [Utterance(uid="short", frames=3, reference=()), Utterance("long", 45101, ())]
     big = SeededModel(vocab_size=40, frames=3, seed=3)
     monkeypatch.setattr(harness, "decode_utterance_tokenwise", None)  # no decode may start

@@ -12,9 +12,8 @@ import pytest
 from tokenwise.decoder import UNBOUNDED_BEAM, DecodeConfig, decode_utterance_tokenwise
 from tokenwise.harness import load_corpus
 from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_sum_exp
-from tokenwise.model import SeededModel, TabularModel, TokenCapModel, load_model_file
+from tokenwise.model import CELL_BUDGET, SeededModel, TabularModel, TokenCapModel, load_model_file
 from tokenwise.oracle import (
-    ORACLE_CELL_BUDGET,
     capped_prefixes,
     check_oracle_budget,
     exact_marginals,
@@ -144,9 +143,9 @@ def test_enumeration_limits_are_enforced() -> None:
     # The budget is prefixes x frames x symbols, a zero-frame utterance counting as one frame.
     small = SeededModel(vocab_size=2, frames=2, seed=1)
     for frames in (0, 1, 7):
-        fitting = ORACLE_CELL_BUDGET // (max(frames, 1) * 3)
+        fitting = CELL_BUDGET // (max(frames, 1) * 3)
         check_oracle_budget(small, frames, fitting)
-        with pytest.raises(ValueError, match=f"the limit is {ORACLE_CELL_BUDGET}$"):
+        with pytest.raises(ValueError, match=f"the limit is {CELL_BUDGET}$"):
             check_oracle_budget(small, frames, fitting + 1)
     # Over the budget, each route fails before its first join.
     huge_vocab = _JoinCounting(SeededModel(vocab_size=10**6, frames=1, seed=1))
