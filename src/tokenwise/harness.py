@@ -42,7 +42,13 @@ from .model import (
     read_model_spec,
     write_text_file,
 )
-from .oracle import capped_prefixes, check_oracle_budget, exact_nbest, exact_sequence_marginals
+from .oracle import (
+    capped_prefixes,
+    check_oracle_budget,
+    check_sequence_budget,
+    exact_nbest,
+    exact_sequence_marginals,
+)
 
 REFERENCE_BEAM = 8
 REFERENCE_SEGMENT = 4
@@ -422,11 +428,16 @@ def _compare_entries(
 def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[PropertyResult, ...]:
     """Check the decoding invariants end to end against the exact oracle.
 
-    Before any decode, the oracle must fit ``check_oracle_budget``; zero frames are allowed.
+    Before any decode, the token cap is the largest up to ``VERIFY_MAX_TOKENS``
+    whose trie fits ``check_oracle_budget`` at the longest utterance; past it
+    even at one token, ``verify`` raises. Zero frames are allowed. After each
+    finite-beam decode, the sequences decoded so far for the utterance must
+    fit ``check_sequence_budget``, so a score bound too large to check ends
+    the run before the next decode.
     Returns five results, in this order: the segment decoder at segment size
     one matches the frame-synchronous reference decoder (s1-equivalence);
-    with a token cap of ``VERIFY_MAX_TOKENS`` and an unbounded beam it reproduces
-    the exact marginals and their ranking (oracle-exactness); final scores
+    with that token cap and an unbounded beam it reproduces the exact
+    marginals and their ranking (oracle-exactness); final scores
     do not depend on the segment size (segment-invariance); no beam score
     ever exceeds its sequence's true marginal (score-upper-bound); and every
     expansion round conserves probability mass (mass-conservation). Each
@@ -435,22 +446,30 @@ def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[Pro
     if not utterances:
         raise ValueError("verification needs at least one utterance")
     longest = max(utt.frames for utt in utterances)
-    check_oracle_budget(model, longest, capped_prefixes(model.vocab.size, VERIFY_MAX_TOKENS))
+    for cap in range(VERIFY_MAX_TOKENS, 0, -1):  # the largest cap that fits, or cap 1's error
+        try:
+            check_oracle_budget(model, longest, capped_prefixes(model.vocab.size, cap))
+            break
+        except ValueError:
+            if cap == 1:
+                raise
+    at_cap = "" if cap == VERIFY_MAX_TOKENS else f" at a token cap of {cap}"
 
-    # A capped model encodes as its inner model, so one encoder per utterance
-    # serves every check; each decode configuration runs once.
-    encoders = [model.encode(utt.frames, utt.uid) for utt in utterances]
-    capped = TokenCapModel(model, VERIFY_MAX_TOKENS)
+    capped = TokenCapModel(model, cap)
     trace = DecodeTrace()
     s1_pairs, exact_pairs, invariance_pairs = [], [], []
     bound_defect = 0.0
-    for utt, encoder in zip(utterances, encoders):
+    for utt in utterances:
+        # A capped model encodes as its inner model, so one encoder per utterance
+        # serves every check; each decode configuration runs once.
+        encoder = model.encode(utt.frames, utt.uid)
         entries = []
         for beam in VERIFY_BEAM_SIZES:
             for segment in (1, 3):
                 config = DecodeConfig(beam_size=beam, segment_size=segment, nbest=beam)
                 decoded, _ = decode_utterance_tokenwise(model, encoder, config, trace=trace)
                 entries += decoded.entries
+                check_sequence_budget(model, encoder.frames, [tokens for tokens, _ in entries])
                 if segment == 1:
                     standard, _ = decode_utterance_standard(model, encoder, config, trace=trace)
                     detail = f"{utt.uid!r} at beam {beam}: sequence lists differ"
@@ -459,7 +478,7 @@ def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[Pro
         for (_, score), marginal in zip(entries, marginals):
             bound_defect = max(bound_defect, score - marginal)
 
-        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, VERIFY_MAX_TOKENS)
+        truth = exact_nbest(capped, encoder, UNBOUNDED_BEAM, cap)
         whole = max(utt.frames, 1)
         by_segment = {}
         for segment in sorted({1, 2, 3, whole}):
@@ -468,7 +487,7 @@ def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[Pro
             )
             decoded, _ = decode_utterance_tokenwise(capped, encoder, config, trace=trace)
             by_segment[segment] = decoded.entries
-        detail = f"{utt.uid!r}: ranking differs from the exact oracle"
+        detail = f"{utt.uid!r}: ranking differs from the exact oracle{at_cap}"
         exact_pairs.append((by_segment[whole], truth.entries, detail))
         # Sorted by tokens, so equal sequence sets compare as equal lists.
         reference = sorted(by_segment[1])
@@ -477,7 +496,8 @@ def verify(model: TransducerModel, utterances: Sequence[Utterance]) -> tuple[Pro
             invariance_pairs.append((sorted(got), reference, detail))
     s1_summary = "max |score gap| {gap:.3e} over {pairs} decode pairs"
     s1 = _compare_entries("s1-equivalence", s1_pairs, s1_summary)
-    exactness = _compare_entries("oracle-exactness", exact_pairs, "max |marginal gap| {gap:.3e}")
+    exact_summary = "max |marginal gap| {gap:.3e}" + at_cap
+    exactness = _compare_entries("oracle-exactness", exact_pairs, exact_summary)
     invariance = _compare_entries(
         "segment-invariance", invariance_pairs, "max |score gap| {gap:.3e}"
     )

@@ -9,6 +9,7 @@ pass could recover.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence, Tuple
 
 from .decoder import NBestList
@@ -43,15 +44,13 @@ def corpus_wer(pairs: Iterable[Tuple[Sequence[int], Sequence[int]]]) -> float:
 def corpus_oracle_wer(pairs: Iterable[Tuple[Sequence[int], NBestList]]) -> float:
     """Pooled error rate of each utterance's least-wrong n-best entry.
 
-    With one-entry lists this is exactly :func:`corpus_wer`.
+    :func:`corpus_wer` pools each reference with that entry, so with
+    one-entry lists this is exactly :func:`corpus_wer`.
     """
-    errors = 0
-    length = 0
+    least_wrong = []
     for reference, nbest in pairs:
         if not nbest.entries:
             raise ValueError("empty n-best list in oracle scoring")
-        errors += min(edit_distance(reference, tokens) for tokens, _ in nbest.entries)
-        length += len(reference)
-    if length == 0:
-        raise ValueError("corpus has no reference tokens")
-    return errors / length
+        best = min((tokens for tokens, _ in nbest.entries), key=partial(edit_distance, reference))
+        least_wrong.append((reference, best))
+    return corpus_wer(least_wrong)

@@ -8,9 +8,9 @@ over the prefix trie of an utterance sums them: a prefix's column holds the
 mass of the paths that stand at each frame having emitted exactly that
 prefix, and each prefix is joined and folded once, so its work is held to
 ``model.CELL_BUDGET`` joiner cells: prefixes x frames x symbols. A
-prefix's node is built from its parent's, and none is kept longer than its
-children need it: ``exact_sequence_marginals`` holds the current
-root-to-leaf path and ``exact_marginals`` the nodes below the cap.
+prefix's node is built from its parent's, and both routes walk the trie
+depth first in sorted order, holding only the nodes on the current
+root-to-leaf path.
 ``exact_marginals`` expands every prefix up to a token cap, so the path set
 is finite; every emission out of a prefix at the cap is accounted for in
 ``excluded_log_mass`` rather than dropped, so the total mass over complete
@@ -21,7 +21,6 @@ the decoders do. ``exact_sequence_marginals`` gives those of given sequences.
 from __future__ import annotations
 
 import numbers
-from collections import deque
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
@@ -75,6 +74,30 @@ def check_oracle_budget(model: TransducerModel, frames: int, prefixes: int) -> N
     check_cell_budget("the exact oracle", prefixes=prefixes, frames=frames, symbols=symbols)
 
 
+def check_sequence_budget(
+    model: TransducerModel, frames: int, sequences: list[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Reject the distinct prefixes of ``sequences`` above the budget; return their walk.
+
+    The prefixes are counted, not built: in sorted order a sequence's new
+    prefixes are those longer than its common prefix with the sequence
+    before it. The walk is the sorted distinct sequences, each with the
+    length of that common prefix.
+    """
+    walks = []
+    previous: tuple[int, ...] = ()
+    for tokens in sorted(set(sequences)):
+        shared = 0
+        for token, before in zip(tokens, previous):
+            if token != before:
+                break
+            shared += 1
+        walks.append((tokens, shared))
+        previous = tokens
+    check_oracle_budget(model, frames, 1 + sum(len(t) - u for t, u in walks))
+    return walks
+
+
 def exact_marginals(
     model: TransducerModel, encoder: EncoderOutput, max_tokens: int
 ) -> tuple[dict, float]:
@@ -83,8 +106,8 @@ def exact_marginals(
     Returns ``(marginals, excluded_log_mass)``: the marginals by token
     sequence, only those above zero stored, and the log-mass of every
     emission out of a prefix at the cap. Folds every prefix up to the cap
-    once, breadth first, children in token-id order, so the cap's
-    ``capped_prefixes`` must fit ``check_oracle_budget``.
+    once, depth first in sorted order, so the cap's ``capped_prefixes``
+    must fit ``check_oracle_budget``.
     """
     if not isinstance(max_tokens, numbers.Integral) or max_tokens < 0:
         raise ValueError("token cap must be a non-negative integer")
@@ -92,16 +115,16 @@ def exact_marginals(
     check_oracle_budget(model, encoder.frames, capped_prefixes(model.vocab.size, max_tokens))
     marginals: dict = {}
     excluded = LOG_ZERO
-    queue = deque([((), None, None)])  # (prefix, its parent's node, its last token)
-    while queue:
-        prefix, parent, last = queue.popleft()
+    stack = [((), None, None)]  # (prefix, its parent's node, its last token), popped sorted
+    while stack:
+        prefix, parent, last = stack.pop()
         node = _node(model, encoder, parent, last)
         if node[2][-1] > LOG_ZERO:
             marginals[prefix] = node[2][-1]
-        for token in range(model.vocab.size):
-            if len(prefix) < max_tokens:
-                queue.append((prefix + (token,), node, token))
-            else:
+        if len(prefix) < max_tokens:
+            stack += [(prefix + (k,), node, k) for k in reversed(range(model.vocab.size))]
+        else:
+            for token in range(model.vocab.size):
                 for mass in _entering(node, token):
                     excluded = log_add(excluded, mass)
     return marginals, excluded
@@ -113,25 +136,13 @@ def exact_sequence_marginals(
     """Alignment-sum marginal of each of ``sequences``, in order.
 
     Every prefix of the sequences is joined and folded once, so sequences
-    that share a prefix share its work; ``check_oracle_budget`` counts each
-    once. The prefixes are counted, not built, before that check: in sorted
-    order a sequence's new prefixes are those longer than its common prefix
-    with the sequence before it.
+    that share a prefix share its work; ``check_sequence_budget`` counts
+    each once before any is built.
     """
     if not all(isinstance(k, numbers.Integral) for tokens in sequences for k in tokens):
         raise ValueError("sequence tokens must be integers")
     sequences = [tuple(int(k) for k in tokens) for tokens in sequences]
-    walks = []  # (sequence, length of its common prefix with the one before)
-    previous: tuple[int, ...] = ()
-    for tokens in sorted(set(sequences)):
-        shared = 0
-        for token, before in zip(tokens, previous):
-            if token != before:
-                break
-            shared += 1
-        walks.append((tokens, shared))
-        previous = tokens
-    check_oracle_budget(model, encoder.frames, 1 + sum(len(t) - u for t, u in walks))
+    walks = check_sequence_budget(model, encoder.frames, sequences)
     path = [_node(model, encoder)]  # the nodes of the previous sequence and its prefixes
     marginals = {}
     for tokens, shared in walks:

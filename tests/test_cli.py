@@ -225,6 +225,31 @@ def test_verify_accepts_a_zero_frame_utterance(tmp_path: Path, capsys) -> None:
     assert captured.err == ""
 
 
+def test_verify_runs_on_the_bench_pair_at_the_largest_cap_that_fits(
+    tmp_path: Path, capsys
+) -> None:
+    # At vocabulary 16 the oracle's trie fits about 100 frames at cap 2, not
+    # at cap 3, so oracle-exactness is checked at two tokens and says so.
+    lines = (DATA_DIR / "bench_corpus.jsonl").read_text(encoding="utf-8").splitlines(True)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(lines[:2]), encoding="utf-8")
+    code = main(
+        ["verify", "--model", str(DATA_DIR / "bench_model.json"), "--corpus", str(corpus)]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert [line.split()[:2] for line in out] == [
+        ["PASS", "s1-equivalence:"],
+        ["PASS", "oracle-exactness:"],
+        ["PASS", "segment-invariance:"],
+        ["PASS", "score-upper-bound:"],
+        ["PASS", "mass-conservation:"],
+    ]
+    assert out[1].endswith(" at a token cap of 2")
+    assert captured.err == ""
+
+
 def test_model_file_with_mistyped_fields_exits_two(tmp_path: Path, capsys) -> None:
     seeded = {"kind": "seeded", "vocab_size": 3, "frames": 6, "seed": 1, "blank_prior": 0.6}
     tabular = {"kind": "tabular", "vocab_size": 1, "frames": 1, "payload": [[[0.0, 0.0]]]}
@@ -858,10 +883,10 @@ def test_an_out_of_vocabulary_reference_exits_two_naming_its_line(
 # such a beam would make the search unbounded. The explicit examples cover
 # three limits checked before any decode: a corpus line longer than a tabular
 # model's table, a beam over the round cell budget and a `verify` instance
-# over the oracle cell budget. The beam case decodes a vocabulary-1 model,
-# where each hypothesis has one expansion, so its group grows no faster than
-# its rounds and a decode stays short should the budget ever let such a beam
-# through. Paths are
+# over the oracle cell budget even at a cap of one token. The beam case
+# decodes a vocabulary-1 model, where each hypothesis has one expansion, so
+# its group grows no faster than its rounds and a decode stays short should
+# the budget ever let such a beam through. Paths are
 # relative to a fresh workspace, written as "{ws}/...", that holds a regular
 # file "afile" and an empty directory "adir".
 _WS = "{ws}"
@@ -1050,8 +1075,8 @@ _LONG_LINE = (
 _SEEDED_1 = {"kind": "seeded", "vocab_size": 1, "frames": 3, "seed": 1}
 _SHORT_LINE = '{"id": "a", "frames": 3, "reference": [0]}\n'
 _OVER_BUDGET = ["--beam-size", str(HUGE)]
-# Its oracle trie at cap 4 holds 2,625,641 prefixes x 3 frames x 41 symbols.
-_SEEDED_40 = {**_SEEDED_1, "vocab_size": 40}
+# Even at cap 1 its oracle trie holds 2,049 prefixes x 3 frames x 2,049 symbols.
+_SEEDED_2048 = {**_SEEDED_1, "vocab_size": 2048}
 
 
 _LIMIT_CASES = [
@@ -1060,7 +1085,7 @@ _LIMIT_CASES = [
     _limit_case("verify", "frames", _TABULAR_2, _LONG_LINE),
     _limit_case("decode", "beam", _SEEDED_1, _SHORT_LINE, *_OVER_BUDGET),
     _limit_case("bench", "beam", _SEEDED_1, _SHORT_LINE, "--beam-size", "1", *_OVER_BUDGET),
-    _limit_case("verify", "vocab", _SEEDED_40, _SHORT_LINE),
+    _limit_case("verify", "vocab", _SEEDED_2048, _SHORT_LINE),
 ]
 _FORCED_EXAMPLES = 10
 

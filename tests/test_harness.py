@@ -558,21 +558,40 @@ def test_verify_rejects_oversized_instances(monkeypatch) -> None:
     model = SeededModel(vocab_size=2, frames=3, seed=3)
     with pytest.raises(ValueError):
         verify(model, [])
-    # The oracle's trie at cap 4 over vocabulary 2 joins 31 prefixes x 3 symbols
-    # per frame, so 45,100 frames fit the budget and 45,101 do not.
-    assert 45100 * 93 <= CELL_BUDGET < 45101 * 93
-    longest = [Utterance(uid="short", frames=3, reference=()), Utterance("long", 45101, ())]
-    big = SeededModel(vocab_size=40, frames=3, seed=3)
+    # Even at a cap of one token the oracle's trie over vocabulary 2 joins
+    # 3 prefixes x 3 symbols per frame, so 466,033 frames fit and 466,034 do not.
+    assert 466033 * 9 <= CELL_BUDGET < 466034 * 9
+    longest = [Utterance(uid="short", frames=3, reference=()), Utterance("long", 466034, ())]
+    big = SeededModel(vocab_size=2048, frames=3, seed=3)
     monkeypatch.setattr(harness, "decode_utterance_tokenwise", None)  # no decode may start
-    with pytest.raises(ValueError, match="needs 4194393 joiner cells"):
+    with pytest.raises(ValueError, match="needs 4194306 joiner cells"):
         verify(model, longest)
-    with pytest.raises(ValueError, match=r"\(2625641 prefixes x 1 frames x 41 symbols\)"):
+    with pytest.raises(ValueError, match=r"\(2049 prefixes x 1 frames x 2049 symbols\)"):
         verify(big, [Utterance(uid="a", frames=1, reference=())])
     monkeypatch.undo()
     # A zero-frame utterance and a 100-frame one are within the budget: all five properties pass.
     utterances = [Utterance(uid="empty", frames=0, reference=()), Utterance("long", 100, ())]
     results = verify(model, utterances)
     assert [result.passed for result in results] == [True] * 5
+
+
+def test_verify_checks_the_score_bound_budget_after_each_decode(monkeypatch) -> None:
+    # The trie at cap 4 over vocabulary 1 fits 2,000 frames (5 prefixes x 2,000
+    # frames x 2 symbols), but the first decode's sequence has 1,836 tokens, whose
+    # prefixes are past the budget: verify stops before any further decode.
+    model = SeededModel(1, 2000, 3, 0.1)
+    decodes = []
+    for name in ("decode_utterance_tokenwise", "decode_utterance_standard"):
+
+        def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+            decodes.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    cells = r"\(1837 prefixes x 2000 frames x 2 symbols\)"
+    with pytest.raises(ValueError, match=cells):
+        verify(model, [Utterance("long", 2000, ())])
+    assert decodes == ["decode_utterance_tokenwise"]
 
 
 def _swap_top_two(result: NBestList) -> NBestList:
