@@ -8,23 +8,21 @@ over the prefix trie of an utterance sums them: a prefix's column holds the
 mass of the paths that stand at each frame having emitted exactly that
 prefix, and each prefix is joined and folded once, so its work is held to
 ``model.CELL_BUDGET`` joiner cells: prefixes x frames x symbols. A
-prefix's node is built from its parent's, and both routes walk the trie
-depth first in sorted order, holding only the nodes on the current
-root-to-leaf path.
-``exact_marginals`` expands every prefix up to a token cap, so the path set
-is finite; every emission out of a prefix at the cap is accounted for in
-``excluded_log_mass`` rather than dropped, so the total mass over complete
-and excluded paths is exactly one. ``exact_nbest`` ranks its sequences like
-the decoders do. ``exact_sequence_marginals`` gives those of given sequences.
+prefix's node is built from its parent's, and ``exact_sequence_marginals``
+walks the trie of its sequences depth first in sorted order, holding only
+the nodes on the current root-to-leaf path. ``exact_marginals`` is that
+walk over every sequence of at most a token cap, and ``exact_nbest`` ranks
+those sequences like the decoders do.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 
 from .decoder import NBestList, _ranked
 from .logmath import LOG_ONE, LOG_ZERO, log_add
-from .model import EncoderOutput, JoinerCounters, TransducerModel, check_cell_budget
+from .model import CELL_BUDGET, EncoderOutput, JoinerCounters, TransducerModel, check_cell_budget
 
 
 def _node(model: TransducerModel, encoder: EncoderOutput, parent=None, token=None) -> tuple:
@@ -33,16 +31,18 @@ def _node(model: TransducerModel, encoder: EncoderOutput, parent=None, token=Non
     ``state`` is the predictor state; ``rows`` its joiner rows as Python
     floats (``[frame][symbol]``; the folds read one value at a time, cheaper
     from a list than from an array); ``column[t] = log_add(entering[t],
-    column[t-1] + blank[t-1])``, whose extra last entry is the prefix's
-    marginal. Without a parent it is the root's node. The token advances the
-    parent's state before any row is read, so every token is checked, even
-    at zero frames, where the rows are ``[]`` and nothing is joined.
+    column[t-1] + blank[t-1])``, where ``entering[t]`` is the parent's
+    ``column[t]`` plus its emission of the token, and the extra last entry
+    is the prefix's marginal. Without a parent it is the root's node. The
+    token advances the parent's state before any row is read, so every
+    token is checked, even at zero frames, where the rows are ``[]`` and
+    nothing is joined.
     """
     if parent is None:
         state, carried, entering = model.init_predictor(), LOG_ONE, [LOG_ZERO] * encoder.frames
     else:
         state, carried = model.advance_predictor(parent[0], token), LOG_ZERO
-        entering = _entering(parent, token)
+        entering = [mass + row[token] for mass, row in zip(parent[2], parent[1])]
     rows = []
     if encoder.frames:
         rows = model.join(encoder, (0, encoder.frames), [state], JoinerCounters())[0].tolist()
@@ -54,12 +54,6 @@ def _node(model: TransducerModel, encoder: EncoderOutput, parent=None, token=Non
         carried += row[blank]
     column.append(carried)
     return state, rows, column
-
-
-def _entering(node: tuple, token: int) -> list[float]:
-    """Mass entering the node's child by ``token`` at each frame: column plus emission."""
-    _, rows, column = node
-    return [mass + row[token] for mass, row in zip(column, rows)]
 
 
 def capped_prefixes(vocab: int, cap: int) -> int:
@@ -98,36 +92,31 @@ def check_sequence_budget(
     return walks
 
 
-def exact_marginals(
-    model: TransducerModel, encoder: EncoderOutput, max_tokens: int
-) -> tuple[dict, float]:
+def exact_marginals(model: TransducerModel, encoder: EncoderOutput, max_tokens: int) -> dict:
     """Alignment-sum marginal of every sequence of at most ``max_tokens``.
 
-    Returns ``(marginals, excluded_log_mass)``: the marginals by token
-    sequence, only those above zero stored, and the log-mass of every
-    emission out of a prefix at the cap. Folds every prefix up to the cap
-    once, depth first in sorted order, so the cap's ``capped_prefixes``
-    must fit ``check_oracle_budget``.
+    Returns the marginals by token sequence, only those above zero stored.
+    It lists the sequences and takes their marginals from
+    ``exact_sequence_marginals``, so it holds that list, the same order of
+    size as its result, plus one root-to-leaf path of nodes. Before it
+    lists any, the cap's ``capped_prefixes`` must fit ``check_oracle_budget``
+    and their tokens, counted as ``capped_prefixes`` x ``max_tokens``, must
+    fit ``CELL_BUDGET``.
     """
     if not isinstance(max_tokens, numbers.Integral) or max_tokens < 0:
         raise ValueError("token cap must be a non-negative integer")
-    max_tokens = int(max_tokens)
-    check_oracle_budget(model, encoder.frames, capped_prefixes(model.vocab.size, max_tokens))
-    marginals: dict = {}
-    excluded = LOG_ZERO
-    stack = [((), None, None)]  # (prefix, its parent's node, its last token), popped sorted
-    while stack:
-        prefix, parent, last = stack.pop()
-        node = _node(model, encoder, parent, last)
-        if node[2][-1] > LOG_ZERO:
-            marginals[prefix] = node[2][-1]
-        if len(prefix) < max_tokens:
-            stack += [(prefix + (k,), node, k) for k in reversed(range(model.vocab.size))]
-        else:
-            for token in range(model.vocab.size):
-                for mass in _entering(node, token):
-                    excluded = log_add(excluded, mass)
-    return marginals, excluded
+    max_tokens, vocab = int(max_tokens), model.vocab.size
+    prefixes = capped_prefixes(vocab, max_tokens)
+    check_oracle_budget(model, encoder.frames, prefixes)
+    if prefixes * max_tokens > CELL_BUDGET:
+        raise ValueError(
+            f"the exact oracle needs {prefixes * max_tokens} tokens ({prefixes} sequences"
+            f" x {max_tokens} tokens); the limit is {CELL_BUDGET}"
+        )
+    lengths = range(max_tokens + 1)
+    sequences = [tokens for k in lengths for tokens in itertools.product(range(vocab), repeat=k)]
+    marginals = exact_sequence_marginals(model, encoder, sequences)
+    return {tokens: mass for tokens, mass in zip(sequences, marginals) if mass > LOG_ZERO}
 
 
 def exact_sequence_marginals(
@@ -157,6 +146,6 @@ def exact_nbest(
     model: TransducerModel, encoder: EncoderOutput, n: int, max_tokens: int
 ) -> NBestList:
     """Top ``n`` sequences by exact marginal, ranked like the decoders."""
-    marginals, _ = exact_marginals(model, encoder, max_tokens)
+    marginals = exact_marginals(model, encoder, max_tokens)
     entries = {tokens: (score, None) for tokens, score in marginals.items()}
     return NBestList(tuple((tokens, score) for tokens, score, _ in _ranked(entries, n)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_add, log_normalize, log_sum_exp
+from tokenwise.logmath import LOG_ONE, LOG_ZERO, log_normalize, log_sum_exp
 from tokenwise.model import (
     _BLANK_GATE_SPREAD,
     _CATCHUP_PULL,
@@ -94,12 +94,6 @@ def path_marginals(model: TransducerModel, encoder: EncoderOutput, max_tokens: i
     return {
         tokens: float(log_sum_exp(np.array(values), 0)[0]) for tokens, values in terms.items()
     }
-
-
-def total_log_mass(marginals: dict, excluded_log_mass: float) -> float:
-    """Mass of complete plus excluded paths; zero in exact arithmetic."""
-    covered = log_sum_exp(np.array(list(marginals.values())), 0)[0]
-    return log_add(float(covered), excluded_log_mass)
 
 
 def strip_timing(data: dict) -> dict:

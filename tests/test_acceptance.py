@@ -123,7 +123,7 @@ def _oracle_run() -> dict:
     mismatches = []
     max_gap = 0.0
     for model, encoder, frames in _tiny_instances():
-        marginals, _ = exact_marginals(model, encoder, TINY_CAP)
+        marginals = exact_marginals(model, encoder, TINY_CAP)
         reachable = {seq: val for seq, val in marginals.items() if val > float("-inf")}
         config = DecodeConfig(
             beam_size=UNBOUNDED_BEAM, segment_size=frames, nbest=UNBOUNDED_BEAM

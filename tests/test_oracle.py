@@ -21,7 +21,7 @@ from tokenwise.oracle import (
     exact_sequence_marginals,
 )
 
-from reference import enumerate_alignment_paths, path_marginals, total_log_mass
+from reference import enumerate_alignment_paths, path_marginals
 
 CAP = 4
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -35,20 +35,20 @@ def _tiny_model(rng: np.random.Generator) -> tuple[SeededModel, int]:
 
 
 def test_total_path_mass_is_one() -> None:
+    # The capped model ends every path by the cap, so the marginals hold all the mass.
     rng = np.random.default_rng(61)
     for _ in range(30):
         model, _ = _tiny_model(rng)
-        exact = exact_marginals(model, model.encode(uid="mass"), CAP)
-        assert abs(total_log_mass(*exact)) < 1e-12
+        capped = TokenCapModel(model, CAP)
+        marginals = exact_marginals(capped, capped.encode(uid="mass"), CAP)
+        assert abs(log_sum_exp(np.array(list(marginals.values())), 0)[0]) < 1e-12
 
 
-def test_truncated_mass_is_separated_not_dropped() -> None:
+def test_truncated_marginals_cover_less_than_all_mass() -> None:
     model = SeededModel(vocab_size=2, frames=4, seed=7, blank_prior=0.3)
-    marginals, excluded = exact_marginals(model, model.encode(uid="trunc"), 1)
-    assert excluded > LOG_ZERO
+    marginals = exact_marginals(model, model.encode(uid="trunc"), 1)
     covered = log_sum_exp(np.array(list(marginals.values())), 0)[0]
     assert covered < 0.0
-    assert abs(total_log_mass(marginals, excluded)) < 1e-12
 
 
 def test_paths_reconstruct_their_sequences() -> None:
@@ -71,7 +71,7 @@ def test_marginal_is_sum_over_any_path_ordering() -> None:
     by_sequence: dict = {}
     for path in paths:
         by_sequence.setdefault(path.tokens, []).append(path.log_prob)
-    marginals, _ = exact_marginals(model, encoder, CAP)
+    marginals = exact_marginals(model, encoder, CAP)
     for tokens, terms in by_sequence.items():
         for trial in range(5):
             shuffled = list(terms)
@@ -85,7 +85,7 @@ def test_enumeration_agrees_with_forward_dp() -> None:
     for _ in range(25):
         model, _ = _tiny_model(rng)
         encoder = model.encode(uid="dual")
-        dp, _ = exact_marginals(model, encoder, CAP)
+        dp = exact_marginals(model, encoder, CAP)
         enum = path_marginals(model, encoder, CAP)
         reachable = {seq for seq, val in dp.items() if val > LOG_ZERO}
         enum_reachable = {seq for seq, val in enum.items() if val > LOG_ZERO}
@@ -134,7 +134,7 @@ def test_sequence_marginals_handle_a_sequence_longer_than_the_recursion_limit() 
 
 def test_event_stream_covers_empty_utterance() -> None:
     model = SeededModel(vocab_size=2, frames=3, seed=9)
-    assert exact_marginals(model, model.encode(frames=0), CAP) == ({(): LOG_ONE}, LOG_ZERO)
+    assert exact_marginals(model, model.encode(frames=0), CAP) == {(): LOG_ONE}
 
 
 def test_enumeration_limits_are_enforced() -> None:
@@ -169,6 +169,18 @@ def test_enumeration_limits_are_enforced() -> None:
     )
     with pytest.raises(ValueError):
         exact_nbest(small, small.encode(), 0, CAP)
+
+
+def test_exact_marginals_refuse_a_cap_whose_sequences_hold_too_many_tokens() -> None:
+    # At vocabulary 1 the cell count is linear in the cap, but the sequences'
+    # tokens are quadratic: cap 2,048 needs only 2,049 x 2 cells at one frame,
+    # yet its 2,049 sequences are counted as 2,049 x 2,048 tokens, past the budget.
+    model = _JoinCounting(SeededModel(1, 1, 5))
+    message = r"needs 4196352 tokens \(2049 sequences x 2048 tokens\); the limit is 4194304$"
+    with pytest.raises(ValueError, match=message):
+        exact_marginals(model, model.encode(), 2048)
+    assert model.joins == 0
+    assert len(exact_marginals(model, model.encode(), 500)) == 501
 
 
 def test_bench_scores_never_exceed_the_true_marginal() -> None:
@@ -294,8 +306,9 @@ def test_every_prefix_up_to_the_cap_is_joined_once() -> None:
     probs[:, :, 0] = math.log(0.5)
     probs[:, :, 2] = math.log(0.5)
     never_one = TabularModel(vocab_size=2, payload=probs.tolist())
-    # Only the nodes on the current root-to-leaf path are held: at vocabulary
-    # 4, 100 frames and cap 4, five of the 341 prefixes, each with 100 rows.
+    # Besides the list of sequences, only the nodes on the current root-to-leaf
+    # path are held: at vocabulary 4, 100 frames and cap 4, five of the 341
+    # prefixes, each with 100 rows.
     capped = TokenCapModel(SeededModel(2, 3, 7), 1)
     bench_length = TokenCapModel(SeededModel(4, 100, 12), 4)
     for model, cap in ((SeededModel(3, 4, 5), 3), (capped, 3), (never_one, 4), (bench_length, 4)):
@@ -325,7 +338,7 @@ def test_nbest_returns_all_when_n_exceeds_sequences() -> None:
     model = SeededModel(vocab_size=2, frames=2, seed=11)
     capped = TokenCapModel(model, cap=2)
     encoder = capped.encode(uid="all")
-    marginals, _ = exact_marginals(capped, encoder, 2)
+    marginals = exact_marginals(capped, encoder, 2)
     reachable = {seq for seq, val in marginals.items() if val > LOG_ZERO or seq == ()}
     result = exact_nbest(capped, encoder, 1000, 2)
     assert {tokens for tokens, _ in result.entries} == reachable
@@ -370,6 +383,6 @@ def test_zero_probability_branches_stay_out_of_marginals() -> None:
     probs[:, :, 0] = math.log(0.5)
     probs[:, :, 2] = math.log(0.5)
     model = TabularModel(vocab_size=2, payload=probs.tolist())
-    marginals, _ = exact_marginals(model, model.encode(), 2)
+    marginals = exact_marginals(model, model.encode(), 2)
     for tokens in marginals:
         assert 1 not in tokens

@@ -17,7 +17,7 @@ from tokenwise.decoder import (
     decode_utterance_standard,
     decode_utterance_tokenwise,
 )
-from tokenwise.logmath import LOG_ZERO
+from tokenwise.logmath import LOG_ZERO, log_sum_exp
 from tokenwise.model import (
     _DEPTH_SALT,
     _FRAME_SALT,
@@ -32,7 +32,7 @@ from tokenwise.model import (
 )
 from tokenwise.oracle import exact_marginals, exact_sequence_marginals
 
-from reference import path_marginals, seeded_segment_scores, total_log_mass
+from reference import path_marginals, seeded_segment_scores
 
 # Derandomized, so every run checks the same examples and a failure reproduces.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -194,13 +194,13 @@ def test_seeded_join_equals_the_reference_formula_bit_for_bit(model, frames, pat
 @PROPERTY_SETTINGS
 @given(model=models, cap=st.integers(0, 3), data=st.data())
 def test_forward_dp_equals_the_path_enumeration(model, cap, data) -> None:
-    # Uncapped models, so the mass past the cap is excluded, not zero.
+    # Uncapped models, so the mass past the cap is left out and at most one is covered.
     encoder = model.encode(data.draw(st.integers(0, model.frames)), uid="dp")
-    marginals, excluded = exact_marginals(model, encoder, cap)
+    marginals = exact_marginals(model, encoder, cap)
     enumerated = path_marginals(model, encoder, cap)
     assert marginals.keys() == enumerated.keys()
     assert all(abs(marginals[tokens] - enumerated[tokens]) <= 1e-12 for tokens in enumerated)
-    assert abs(total_log_mass(marginals, excluded)) <= 1e-12
+    assert log_sum_exp(np.array(list(marginals.values())), 0)[0] <= 1e-12
     per_sequence = exact_sequence_marginals(model, encoder, list(marginals))
     assert [value.hex() for value in per_sequence] == [value.hex() for value in marginals.values()]
 
@@ -209,7 +209,7 @@ def _matches_exact_marginals(model, cap: int, segment: int) -> None:
     """Unbounded token-capped decode: every positive-mass sequence, at its exact marginal."""
     capped = TokenCapModel(model, cap)
     encoder = capped.encode(uid="oracle")
-    marginals, excluded = exact_marginals(capped, encoder, cap)
+    marginals = exact_marginals(capped, encoder, cap)
     config = DecodeConfig(UNBOUNDED_BEAM, segment_size=segment, nbest=UNBOUNDED_BEAM)
     trace = DecodeTrace()
     result, counters = decode_utterance_tokenwise(capped, encoder, config, trace=trace)
@@ -217,7 +217,8 @@ def _matches_exact_marginals(model, cap: int, segment: int) -> None:
     want = {tokens: score for tokens, score in marginals.items() if score > LOG_ZERO}
     assert got.keys() == want.keys()
     assert all(abs(got[tokens] - want[tokens]) <= 1e-9 for tokens in got)
-    assert excluded == LOG_ZERO
+    # The capped model ends every path by the cap, so the marginals hold all the mass.
+    assert abs(log_sum_exp(np.array(list(marginals.values())), 0)[0]) <= 1e-12
     assert trace.mass_checks >= counters.calls
     assert trace.max_mass_defect <= 1e-9
 
